@@ -11,27 +11,22 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
+import textwrap
 from fractions import Fraction
 
 from . import convergence, doxastic, logic, simplex
 from .plausibility import CENTRE_OF_MASS, ENTROPY
 
-_GRAMMAR_HELP = """\
-Formula syntax:
-  formula := impl ; impl := or ("->" impl)? ; or := and ("|" and)* ;
-  and := unary ("&" unary)* ;
-  unary := "~" unary | "K" unary | "B" unary | "B(" formula "|" cond ")"
-         | "[" boxarg "]" unary | atom ;
-  boxarg := obslist | formula ; cond := obslist | formula ;
-  obslist := OUTCOME ("," OUTCOME)* ;
-  atom := "T" | lin | "(" formula ")" ; lin := linsum REL rat ;
-  REL := ">=" | "<=" | "=" | ">" | "<" ;
-  linsum := term (("+"|"-") term)* ; term := (rat "*")? "w(" OUTCOME ")" ;
-  rat := INT ("/" INT)? | DECIMAL .
-Identifiers naming alphabet outcomes parse as observations inside B(.|.)
-and [.]; anything else parses as a formula.
-"""
+# The grammar has one source: the EBNF block of the `logic` docstring.
+_EBNF = re.search(r"EBNF\)::\n\n(.*?)\n\n", logic.__doc__ or "", re.S)
+_GRAMMAR_HELP = (
+    "Formula syntax:\n"
+    + (textwrap.indent(textwrap.dedent(_EBNF.group(1)), "  ") + "\n" if _EBNF else "")
+    + "Identifiers naming alphabet outcomes parse as observations inside B(.|.)\n"
+    "and [.]; anything else parses as a formula.\n"
+)
 
 
 class _UsageError(Exception):
@@ -121,7 +116,9 @@ def _parse_truth(alphabet, text: str) -> simplex.MassFunction:
 
 def _cmd_simulate(args) -> int:
     model = _load_model(args.model)
-    payload_fn = None
+    if not model.frame.state.event.is_empty:
+        raise _UsageError(f"model {args.model} has non-empty conditioned_on, "
+                          "which simulate does not support")
     with open(args.model) as fh:
         payload_fn = doxastic._plausibility_from_spec(
             json.load(fh).get("plausibility", "entropy")

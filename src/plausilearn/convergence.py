@@ -1,7 +1,7 @@
 """Monte Carlo checks that belief settles on the true distribution.
 
 A trial samples a stream from a designated true world, conditions the
-plausibility state one observation at a time, and records the first step
+plausibility state on every prefix of the stream, and records the first step
 after which belief stays inside the epsilon-ball around the truth for the
 rest of the horizon.  This finite-horizon settling time is the testable
 surrogate for the almost-sure "eventually stays close" guarantee.
@@ -13,20 +13,19 @@ mass of the ball exceeding 0.95) is available as a paired baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .plausibility import (
     PlausibilityFn,
-    TIE_TOLERANCE,
+    _log_plausibilities,
+    _tie_mask,
     init_state,
 )
 from .simplex import (
     MassFunction,
-    ObservationEvent,
-    Proposition,
     epsilon_ball,
     euclidean_distance,
     sample_stream,
@@ -57,7 +56,6 @@ class TrialConfig:
     seed: int
     epsilon: float | None = None
     record_trace: bool = False
-    check_batch_consistency: bool = False
 
     def resolved_epsilon(self) -> float:
         if self.epsilon is not None:
@@ -105,116 +103,118 @@ class ExperimentSummary:
         return out
 
 
-def _validate(cfg: TrialConfig) -> tuple[int, np.ndarray]:
-    try:
-        truth_index = cfg.worlds.index(cfg.truth)
-    except ValueError:
-        raise TruthNotInWorldsError(
-            f"truth {cfg.truth} is not a world"
-        ) from None
+#: Cells (rows x worlds) of one block of the whole-horizon kernel: the
+#: horizon is processed this many cells at a time to bound memory.
+_BLOCK_CELLS = 2**14
+
+
+@dataclass(frozen=True)
+class _Shared:
+    """What every trial of one configuration reuses, worlds reordered so
+    that the `inside` worlds of the epsilon-ball come first.  `truth_base`
+    is None when the truth is not a world."""
+
+    order: np.ndarray
+    inside: int
+    base_log: np.ndarray
+    log_weights: np.ndarray
+    truth_base: float | None
+
+    def worlds_of(self, mask: np.ndarray) -> frozenset[int]:
+        return frozenset(self.order[mask].tolist())
+
+
+def _share(cfg: TrialConfig) -> _Shared:
     state = init_state(cfg.worlds, cfg.plausibility)
-    if state.base_log[truth_index] == -math.inf:
+    ball = epsilon_ball(cfg.truth, cfg.resolved_epsilon(), list(cfg.worlds)).members
+    order = np.array(sorted(range(len(cfg.worlds)), key=lambda i: i not in ball))
+    try:
+        truth_base = float(state.base_log[cfg.worlds.index(cfg.truth)])
+    except ValueError:
+        truth_base = None
+    return _Shared(
+        order, len(ball), state.base_log[order], state.log_weights[order], truth_base
+    )
+
+
+def _blocks(shared: _Shared, stream, base_log: np.ndarray):
+    """Log values over the whole horizon in row blocks, worlds in `order`:
+    row m is conditioned on the first m + 1 observations."""
+    worlds, outcomes = shared.log_weights.shape
+    rows = max(1, _BLOCK_CELLS // worlds)
+    draws = np.asarray(stream.outcomes)
+    unit = np.eye(outcomes, dtype=np.int64)
+    counts = np.zeros((1, outcomes), dtype=np.int64)
+    for start in range(0, len(draws), rows):
+        counts = unit[draws[start:start + rows]].cumsum(axis=0) + counts[-1]
+        yield _log_plausibilities(base_log, shared.log_weights, counts)
+
+
+def _settled(fails: list[np.ndarray], horizon: int, final_argmax, trace=None):
+    """Result from each step's failure flags: settled from the step after
+    the last failure, when that step is within the horizon."""
+    failing = np.flatnonzero(np.concatenate(fails))
+    last_failure = int(failing[-1]) + 1 if failing.size else 0
+    settled = last_failure < horizon
+    settle_time = last_failure + 1 if settled else None
+    return TrialResult(settled, settle_time, final_argmax, trace)
+
+
+def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
+    """Simulate one stream and report when belief settles in the ball.
+
+    Every prefix of the stream is conditioned on at once, from cumulative
+    counts, by the kernel `condition` uses, so each step's values are
+    bit-identical to conditioning one observation at a time.  A step fails
+    when the most plausible world outside the ball ties the maximum.
+    `run_experiment` passes `shared`, computed once for all its trials.
+    """
+    shared = shared or _share(cfg)
+    if shared.truth_base is None:
+        raise TruthNotInWorldsError(f"truth {cfg.truth} is not a world")
+    if shared.truth_base == -math.inf:
         raise ZeroPlausibilityTruthError(
             "true world has plausibility 0 under the base plausibility"
         )
-    return truth_index, state.base_log
-
-
-def _argmax_members(values: np.ndarray, tolerance: float) -> frozenset[int]:
-    best = values.max()
-    if best == -math.inf:
-        return frozenset(range(len(values)))
-    with np.errstate(invalid="ignore"):
-        ok = (values > -math.inf) & (
-            np.abs(values - best)
-            <= tolerance * np.maximum(1.0, np.maximum(np.abs(values), abs(best)))
-        )
-    return frozenset(np.flatnonzero(ok).tolist())
-
-
-def run_trial(cfg: TrialConfig) -> TrialResult:
-    """Simulate one stream and report when belief settles in the ball.
-
-    Conditioning is incremental (one outcome per step); because states
-    recompute from accumulated counts this is exactly the batch result,
-    which `check_batch_consistency` re-asserts at every step.
-    """
-    truth_index, base_log = _validate(cfg)
-    eps = cfg.resolved_epsilon()
-    ball = epsilon_ball(cfg.truth, eps, list(cfg.worlds)).members
     if cfg.horizon < 1:
         return TrialResult(False, None, frozenset())
 
     stream = sample_stream(cfg.truth, cfg.horizon, cfg.seed)
-    logw = np.stack([w.log_weights() for w in cfg.worlds])  # worlds x outcomes
-    counts = np.zeros(len(cfg.worlds[0].weights), dtype=int)
     trace: list[frozenset[int]] | None = [] if cfg.record_trace else None
-
-    last_failure = 0
-    argmax: frozenset[int] = frozenset()
-    state = init_state(cfg.worlds, cfg.plausibility) if cfg.check_batch_consistency else None
-    alphabet = cfg.worlds[0].alphabet
-    for m, outcome in enumerate(stream.outcomes, start=1):
-        counts[outcome] += 1
-        values = _conditioned(base_log, logw, counts)
-        if cfg.check_batch_consistency:
-            from .plausibility import condition
-
-            step = ObservationEvent(
-                alphabet,
-                tuple(int(outcome == i) for i in range(alphabet.size)),
-            )
-            state = condition(state, step)
-            assert np.array_equal(state.log_values, values), (
-                "incremental and batch conditioning disagree"
-            )
-        argmax = _argmax_members(values, TIE_TOLERANCE)
+    fails = []
+    for values in _blocks(shared, stream, shared.base_log):
+        best_in = values[:, :shared.inside].max(axis=1, initial=-math.inf)
+        best_out = values[:, shared.inside:].max(axis=1, initial=-math.inf)
+        # The step fails when the best world outside the ball ties the best.
+        fails.append(_tie_mask(np.column_stack([best_in, best_out]))[:, 1])
         if trace is not None:
-            trace.append(argmax)
-        if not argmax <= ball:
-            last_failure = m
-
-    settled = last_failure < cfg.horizon
-    settle_time = last_failure + 1 if settled else None
-    return TrialResult(settled, settle_time, argmax, trace)
+            trace.extend(shared.worlds_of(row) for row in _tie_mask(values))
+    return _settled(fails, cfg.horizon, shared.worlds_of(_tie_mask(values[-1])), trace)
 
 
-def _conditioned(base_log: np.ndarray, logw: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    active = counts > 0
-    if not active.any():
-        return base_log.copy()
-    return base_log + (logw[:, active] * counts[active].astype(float)).sum(axis=1)
-
-
-def bayesian_baseline_trial(cfg: TrialConfig, threshold: float = 0.95) -> TrialResult:
+def bayesian_baseline_trial(
+    cfg: TrialConfig, threshold: float = 0.95, shared: _Shared | None = None
+) -> TrialResult:
     """Bayesian learner on the same stream: uniform prior over the worlds,
     settled when the posterior mass of the epsilon-ball exceeds `threshold`.
 
     Unlike `run_trial` this tolerates a truth outside the world set: the
     ball may then be empty and the learner simply never settles."""
-    eps = cfg.resolved_epsilon()
-    ball = sorted(epsilon_ball(cfg.truth, eps, list(cfg.worlds)).members)
+    shared = shared or _share(cfg)
     if cfg.horizon < 1:
         return TrialResult(False, None, frozenset())
 
     stream = sample_stream(cfg.truth, cfg.horizon, cfg.seed)
-    logw = np.stack([w.log_weights() for w in cfg.worlds])
-    log_post = np.full(len(cfg.worlds), -math.log(len(cfg.worlds)))
-    last_failure = 0
-    final_map: frozenset[int] = frozenset()
-    for m, outcome in enumerate(stream.outcomes, start=1):
-        log_post = log_post + logw[:, outcome]
-        norm = logsumexp(log_post)
-        if norm == -math.inf:
-            ball_mass = 0.0
-        else:
-            log_post = log_post - norm
-            ball_mass = float(np.exp(logsumexp(log_post[ball]))) if ball else 0.0
-        if not ball_mass > threshold:
-            last_failure = m
-    final_map = _argmax_members(log_post, TIE_TOLERANCE)
-    settled = last_failure < cfg.horizon
-    return TrialResult(settled, last_failure + 1 if settled else None, final_map)
+    prior = np.full(len(shared.order), -math.log(len(shared.order)))
+    fails = []
+    for log_post in _blocks(shared, stream, prior):
+        norm = logsumexp(log_post, axis=1)
+        with np.errstate(invalid="ignore"):
+            ball_mass = np.exp(logsumexp(log_post[:, :shared.inside], axis=1) - norm)
+        # NaN (every world at plausibility 0) fails, as a mass of 0 does.
+        fails.append(~(ball_mass > threshold))
+    last = log_post[-1] - norm[-1] if norm[-1] > -math.inf else log_post[-1]
+    return _settled(fails, cfg.horizon, shared.worlds_of(_tie_mask(last)))
 
 
 def _summarize(trials: list[TrialResult]) -> ExperimentSummary:
@@ -250,22 +250,14 @@ def run_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     seeds = trial_seeds(base_seed, trials)
+    shared = _share(cfg)
     results = []
     baseline_results = []
     for seed in seeds:
-        trial_cfg = TrialConfig(
-            worlds=cfg.worlds,
-            plausibility=cfg.plausibility,
-            truth=cfg.truth,
-            horizon=cfg.horizon,
-            seed=seed,
-            epsilon=cfg.epsilon,
-            record_trace=cfg.record_trace,
-            check_batch_consistency=cfg.check_batch_consistency,
-        )
-        results.append(run_trial(trial_cfg))
+        trial_cfg = replace(cfg, seed=seed)
+        results.append(run_trial(trial_cfg, shared))
         if include_baseline:
-            baseline_results.append(bayesian_baseline_trial(trial_cfg))
+            baseline_results.append(bayesian_baseline_trial(trial_cfg, shared=shared))
     summary = _summarize(results)
     if include_baseline:
         summary.baseline = _summarize(baseline_results)

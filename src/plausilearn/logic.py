@@ -568,19 +568,21 @@ class _Evaluator:
             holds = conditional_belief_event(model.frame, p, event)
             return everything if holds else frozenset()
         if isinstance(f, DynObs):
-            sub = self._sampling_submodel(model, f.obs)
+            event = observe(model.alphabet, f.obs)
+            sub = self._submodel(model, update_sampling, event)
             # Sampling keeps the world set, so indices carry over.
             return self.extension(sub, f.body)
         if isinstance(f, DynAnn):
             return self._announce(model, f, everything)
         raise TypeError(f"not a formula: {f!r}")
 
-    def _sampling_submodel(self, model: Model, obs: tuple[str, ...]) -> Model:
-        key = (id(model), "samp", obs)
+    def _submodel(self, model: Model, update, arg) -> Model:
+        # Submodels stay cached, and so alive, as long as the evaluator:
+        # the id() in every cache key names a live model.
+        key = (id(model), update, arg)
         sub = self.submodels.get(key)
         if sub is None:
-            sub = update_sampling(model, observe(model.alphabet, obs))
-            self.submodels[key] = sub
+            sub = self.submodels[key] = update(model, arg)
         return sub
 
     def _announce(
@@ -593,20 +595,14 @@ class _Evaluator:
             # world satisfies it (keeping the world in the submodel).
             result = set()
             for i in everything:
-                sub = update_proposition(
-                    model, Proposition(ann_ext | {i})
-                )
-                kept = sorted(ann_ext | {i})
-                if kept.index(i) in self.extension(sub, f.body):
+                kept = ann_ext | {i}
+                sub = self._submodel(model, update_proposition, Proposition(kept))
+                if sorted(kept).index(i) in self.extension(sub, f.body):
                     result.add(i)
             return frozenset(result)
         if not ann_ext:
             return everything
-        key = (id(model), "ann", ann_ext)
-        sub = self.submodels.get(key)
-        if sub is None:
-            sub = update_proposition(model, Proposition(ann_ext))
-            self.submodels[key] = sub
+        sub = self._submodel(model, update_proposition, Proposition(ann_ext))
         kept = sorted(ann_ext)
         body_ext = self.extension(sub, f.body)
         survivors = frozenset(

@@ -9,14 +9,16 @@ cannot underflow.
 To make conditioning order-independent bit-for-bit, a state keeps its base
 log-plausibilities together with the accumulated evidence counts and
 recomputes the current values from those; integer count addition is exactly
-commutative, so any conditioning order yields identical floats.
+commutative, so any conditioning order yields identical floats.  One kernel
+does that recomputation for one count vector (`condition`) or for a block of
+them at once (the settling simulator), in the same float order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -109,7 +111,8 @@ class PlausibilityState:
     """Log-domain plausibilities for the worlds of a frame.
 
     `base_log` holds ln(pla(world)) for the initial plausibility function;
-    `event` is the accumulated sampling evidence.  `log_values` is always
+    `event` is the accumulated sampling evidence; `log_weights` is the
+    worlds x outcomes matrix of ln(world weight).  `log_values` is always
     base_log + log-likelihood(world, event), recomputed on conditioning.
     """
 
@@ -117,6 +120,7 @@ class PlausibilityState:
     base_log: np.ndarray
     event: ObservationEvent
     log_values: np.ndarray = field(repr=False)
+    log_weights: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.worlds)
@@ -125,24 +129,40 @@ class PlausibilityState:
         return math.exp(self.log_values[index])
 
 
-def _log_weight_matrix(worlds: tuple[MassFunction, ...]) -> np.ndarray:
-    return np.stack([w.log_weights() for w in worlds])
+# The kernel and the tie test are private so that a caller's time in them is
+# charged to the caller by per-function tracing (see perfbench/README.md).
 
 
-def _conditioned_values(
-    worlds: tuple[MassFunction, ...],
-    base_log: np.ndarray,
-    event: ObservationEvent,
+def _log_plausibilities(
+    base_log: np.ndarray, log_weights: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """base_log plus per-world log-likelihood of `event`, -inf safe."""
-    counts = np.array(event.counts, dtype=float)
-    active = counts > 0
-    if not active.any():
-        return base_log.copy()
-    logw = _log_weight_matrix(worlds)[:, active]
-    # -inf * positive count stays -inf; zero counts are excluded so no NaN.
-    loglik = (logw * counts[active]).sum(axis=1)
-    return base_log + loglik
+    """base_log plus each world's log-likelihood of `counts`: one count
+    vector (outcomes,) or a block of them (rows x outcomes).  Columns are
+    added left to right whatever their number, and zero counts are left out
+    (-inf * 0 is NaN), so each row is bit-identical to conditioning on its
+    counts alone."""
+    counts = np.asarray(counts)
+    total = np.zeros(counts.shape[:-1] + base_log.shape)
+    term = np.empty_like(total)
+    with np.errstate(invalid="ignore"):
+        for j in range(counts.shape[-1]):
+            c = counts[..., j, None]
+            np.multiply(log_weights[:, j], c, out=term)
+            np.add(total, term, out=total, where=c > 0)
+    return np.add(total, base_log, out=total)
+
+
+def _tie_mask(values: np.ndarray, tolerance: float = TIE_TOLERANCE) -> np.ndarray:
+    """Row-wise mask of the entries that tie their row's maximum; all True
+    in a row of -inf, where every world is maximal."""
+    best = values.max(axis=-1, keepdims=True)
+    # The test is |v - best| <= tolerance * max(1, |v|, |best|); as v <= best,
+    # |v - best| is best - v and max(|v|, |best|) is max(-v, best), exactly.
+    with np.errstate(invalid="ignore"):  # -inf - -inf in a row of -inf
+        ties = (values > -math.inf) & (
+            best - values <= tolerance * np.maximum(np.maximum(best, 1.0), -values)
+        )
+    return ties | (best == -math.inf)
 
 
 def init_state(worlds, fn: PlausibilityFn) -> PlausibilityState:
@@ -157,7 +177,14 @@ def init_state(worlds, fn: PlausibilityFn) -> PlausibilityState:
     base = np.array(
         [math.log(v) if v > 0 else -math.inf for v in fn.values_for(worlds)]
     )
-    return PlausibilityState(worlds, base, empty_event(alphabet), base.copy())
+    # MassFunction.log_weights row by row, built as one array: about twice
+    # as fast as stacking per-world arrays on large grids.
+    log_weights = np.array(
+        [[math.log(x) if x else -math.inf for x in w.weights] for w in worlds]
+    )
+    return PlausibilityState(
+        worlds, base, empty_event(alphabet), base.copy(), log_weights
+    )
 
 
 def condition(state: PlausibilityState, e: ObservationEvent) -> PlausibilityState:
@@ -169,8 +196,8 @@ def condition(state: PlausibilityState, e: ObservationEvent) -> PlausibilityStat
     if e.alphabet != state.event.alphabet:
         raise AlphabetMismatchError("event alphabet differs from state")
     combined = event_concat(state.event, e)
-    values = _conditioned_values(state.worlds, state.base_log, combined)
-    return PlausibilityState(state.worlds, state.base_log, combined, values)
+    values = _log_plausibilities(state.base_log, state.log_weights, combined.counts)
+    return replace(state, event=combined, log_values=values)
 
 
 def argmax_worlds(
@@ -181,17 +208,8 @@ def argmax_worlds(
     When every world has plausibility 0, all worlds are returned: the
     belief quantifier then ranges over the whole frame.
     """
-    values = state.log_values
-    best = values.max()
-    if best == -math.inf:
-        return Proposition.of(range(len(values)))
-    members = [
-        i
-        for i, v in enumerate(values)
-        if v > -math.inf
-        and abs(v - best) <= tolerance * max(1.0, abs(v), abs(best))
-    ]
-    return Proposition.of(members)
+    mask = _tie_mask(state.log_values, tolerance)
+    return Proposition.of(np.flatnonzero(mask).tolist())
 
 
 def argmax_restricted(
@@ -200,20 +218,11 @@ def argmax_restricted(
     tolerance: float = TIE_TOLERANCE,
 ) -> Proposition:
     """Argmax of the state among the worlds in `restriction` only."""
-    members = sorted(restriction.members)
-    if not members:
+    members = np.array(sorted(restriction.members), dtype=int)
+    if not members.size:
         return Proposition.of(())
-    values = state.log_values[members]
-    best = values.max()
-    if best == -math.inf:
-        return Proposition.of(members)
-    chosen = [
-        m
-        for m, v in zip(members, values)
-        if v > -math.inf
-        and abs(v - best) <= tolerance * max(1.0, abs(v), abs(best))
-    ]
-    return Proposition.of(chosen)
+    mask = _tie_mask(state.log_values[members], tolerance)
+    return Proposition.of(members[mask].tolist())
 
 
 def restrict_state(state: PlausibilityState, keep: Proposition) -> PlausibilityState:
@@ -222,6 +231,10 @@ def restrict_state(state: PlausibilityState, keep: Proposition) -> PlausibilityS
     if not members:
         raise EmptyWorldSetError("cannot restrict to an empty world set")
     worlds = tuple(state.worlds[i] for i in members)
-    base = state.base_log[members].copy()
-    values = state.log_values[members].copy()
-    return PlausibilityState(worlds, base, state.event, values)
+    return PlausibilityState(
+        worlds,
+        state.base_log[members],
+        state.event,
+        state.log_values[members],
+        state.log_weights[members],
+    )

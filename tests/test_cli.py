@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plausilearn
+from plausilearn import logic
 from plausilearn.cli import run
 
 
@@ -151,6 +157,24 @@ class TestAxioms:
         assert code == 1
         assert out["counterexamples"]
 
+    def test_mutated_suite_same_under_every_hash_seed(self):
+        # The checker's caches are keyed on id() of models; a submodel that
+        # died could hand its id, and its cached extensions, to a new one.
+        src = str(Path(plausilearn.__file__).resolve().parents[1])
+        outputs = set()
+        for hash_seed in ("0", "1", "6", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", "from plausilearn.cli import main; main()",
+                 "axioms", "--trials", "25", "--seed", "42",
+                 "--skip-relativization"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 1, done.stderr
+            assert json.loads(done.stdout)["counterexamples"]
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["axioms", "--trials", "5", "--seed", "9"]
         assert run(argv) == 0
@@ -223,6 +247,17 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_conditioned_model_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        argv = ["grid", "--alphabet", "H,T", "--resolution", "10"]
+        assert run(argv + ["--condition", "H H H", "-o", str(path)]) == 0
+        code = run(
+            ["simulate", "--model", str(path), "--truth", "7/10,3/10",
+             "--horizon", "10"]
+        )
+        assert code == 2
+        assert "conditioned_on" in capsys.readouterr().err
+
     def test_bad_truth_vector_exit_two(self, model_path, capsys):
         code = run(
             [
@@ -248,3 +283,12 @@ class TestUsage:
     def test_help_exit_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "Formula syntax" in capsys.readouterr().out
+
+    def test_help_grammar_is_the_logic_docstring(self, capsys):
+        linsum = next(
+            line.strip()
+            for line in logic.__doc__.splitlines()
+            if line.strip().startswith("linsum")
+        )
+        assert run(["--help"]) == 0
+        assert linsum in capsys.readouterr().out

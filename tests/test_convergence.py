@@ -1,24 +1,35 @@
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from plausilearn import (
     CENTRE_OF_MASS,
     ENTROPY,
     TrialConfig,
+    argmax_worlds,
     bayesian_baseline_trial,
+    condition,
+    epsilon_ball,
+    init_state,
     make_alphabet,
     mass_function,
     run_experiment,
     run_trial,
+    sample_stream,
     simplex_grid,
     tabulated,
     trial_seeds,
 )
 from plausilearn.convergence import (
+    _BLOCK_CELLS,
     TruthNotInWorldsError,
     ZeroPlausibilityTruthError,
 )
+from plausilearn.simplex import ObservationEvent
 
 
 def coin_config(coin, worlds, truth, horizon, seed=0, **kw):
@@ -123,18 +134,6 @@ class TestRunTrial:
             b.final_argmax,
         )
 
-    def test_batch_consistency_assertion_passes(self, coin, coin_grid):
-        truth = mass_function(coin, [Fraction(7, 10), Fraction(3, 10)])
-        cfg = TrialConfig(
-            worlds=tuple(coin_grid),
-            plausibility=ENTROPY,
-            truth=truth,
-            horizon=120,
-            seed=3,
-            check_batch_consistency=True,
-        )
-        run_trial(cfg)  # internal assertion would fail on any mismatch
-
     def test_monotone_evidence_trace(self, coin, coin_grid):
         # under a constant plausibility and an all-heads stream, the argmax
         # estimate of w(H) climbs monotonically toward the vertex
@@ -170,6 +169,101 @@ class TestRunTrial:
         assert result.final_argmax == frozenset({coin_grid.index(truth)})
 
 
+def nine_outcome_worlds():
+    """40 seeded worlds over 9 outcomes with denominator 90, some with zero
+    weights, plus the uniform truth: every outcome occurs in its stream."""
+    alphabet = make_alphabet([f"o{i}" for i in range(9)])
+    rng = random.Random(5)
+    worlds = {mass_function(alphabet, [Fraction(1, 9)] * 9)}
+    while len(worlds) < 41:
+        cuts = sorted(rng.randint(0, 90) for _ in range(8))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [90])]
+        worlds.add(mass_function(alphabet, [Fraction(p, 90) for p in parts]))
+    worlds = sorted(worlds, key=lambda w: w.weights)
+    return worlds, mass_function(alphabet, [Fraction(1, 9)] * 9)
+
+
+def whole_horizon_cases():
+    coin = make_alphabet(["H", "T"])
+    grid = simplex_grid(coin, 10)
+    nine, uniform = nine_outcome_worlds()
+    return {
+        # vertices have plausibility 0: -inf entries in every row
+        "centre_of_mass": (grid, CENTRE_OF_MASS, grid[7], 4500, 0.15),
+        # T never occurs, and every world with w(H) = 0 drops to -inf
+        "vertex_truth": (grid, tabulated([1.0] * 11), grid[10], 4500, 0.15),
+        "nine_outcomes": (nine, ENTROPY, uniform, 1300, None),
+    }
+
+
+class TestWholeHorizonKernel:
+    """`run_trial` conditions every prefix at once; each step must equal
+    conditioning one observation at a time through the public API."""
+
+    @pytest.mark.parametrize("case", sorted(whole_horizon_cases()))
+    def test_every_step_matches_step_by_step(self, case):
+        worlds, fn, truth, horizon, eps = whole_horizon_cases()[case]
+        assert horizon >= 3 * (_BLOCK_CELLS // len(worlds))  # three blocks
+        cfg = TrialConfig(
+            worlds=tuple(worlds),
+            plausibility=fn,
+            truth=truth,
+            horizon=horizon,
+            seed=4,
+            epsilon=eps,
+            record_trace=True,
+        )
+        result = run_trial(cfg)
+
+        alphabet = truth.alphabet
+        ball = epsilon_ball(truth, cfg.resolved_epsilon(), worlds).members
+        state = init_state(worlds, fn)
+        expected, last_failure = [], 0
+        stream = sample_stream(truth, horizon, cfg.seed)
+        for m, outcome in enumerate(stream.outcomes, start=1):
+            unit = tuple(int(i == outcome) for i in range(alphabet.size))
+            state = condition(state, ObservationEvent(alphabet, unit))
+            argmax = argmax_worlds(state).members
+            expected.append(argmax)
+            if not argmax <= ball:
+                last_failure = m
+        assert result.belief_trace == expected
+        assert result.final_argmax == expected[-1]
+        settled = last_failure < horizon
+        assert result.settled == settled
+        assert result.settle_time == (last_failure + 1 if settled else None)
+
+
+def sequential_baseline(cfg, threshold=0.95):
+    """The Bayesian baseline as one renormalised update per observation:
+    the reference the whole-horizon version is compared with."""
+    eps = cfg.resolved_epsilon()
+    ball = sorted(epsilon_ball(cfg.truth, eps, list(cfg.worlds)).members)
+    stream = sample_stream(cfg.truth, cfg.horizon, cfg.seed)
+    logw = np.stack([w.log_weights() for w in cfg.worlds])
+    log_post = np.full(len(cfg.worlds), -math.log(len(cfg.worlds)))
+    last_failure = 0
+    for m, outcome in enumerate(stream.outcomes, start=1):
+        log_post = log_post + logw[:, outcome]
+        norm = logsumexp(log_post)
+        if norm == -math.inf:
+            ball_mass = 0.0
+        else:
+            log_post = log_post - norm
+            ball_mass = float(np.exp(logsumexp(log_post[ball]))) if ball else 0.0
+        if not ball_mass > threshold:
+            last_failure = m
+    best = log_post.max()
+    final_map = frozenset(
+        i
+        for i, v in enumerate(log_post)
+        if best == -math.inf
+        or (v > -math.inf and abs(v - best) <= 1e-9 * max(1.0, abs(v), abs(best)))
+    )
+    settled = last_failure < cfg.horizon
+    return settled, last_failure + 1 if settled else None, final_map
+
+
 class TestBaseline:
     def test_settles_on_easy_problem(self, three_coins):
         cfg = coin_config(
@@ -184,6 +278,21 @@ class TestBaseline:
         cfg = coin_config(coin, three_coins, outsider, 200, epsilon=0.05)
         result = bayesian_baseline_trial(cfg)
         assert not result.settled
+
+    @pytest.mark.parametrize("grid_case", ["coin", "urn"])
+    def test_matches_sequential_updates(self, grid_case):
+        if grid_case == "coin":
+            alphabet = make_alphabet(["H", "T"])
+            worlds, weights, horizon = simplex_grid(alphabet, 10), (7, 3), 400
+        else:
+            alphabet = make_alphabet(["R", "B", "G"])
+            worlds, weights, horizon = simplex_grid(alphabet, 10), (5, 3, 2), 600
+        truth = mass_function(alphabet, [Fraction(k, 10) for k in weights])
+        for seed in trial_seeds(31, 20):
+            cfg = TrialConfig(tuple(worlds), ENTROPY, truth, horizon, seed, 0.15)
+            got = bayesian_baseline_trial(cfg)
+            reference = sequential_baseline(cfg)
+            assert (got.settled, got.settle_time, got.final_argmax) == reference
 
     def test_shares_stream_with_plausibilist(self, three_coins):
         cfg = coin_config(

@@ -23,6 +23,7 @@ from plausilearn.plausibility import (
     EmptyWorldSetError,
     IncompleteTableError,
     argmax_restricted,
+    restrict_state,
 )
 from plausilearn.simplex import ObservationEvent, Proposition
 
@@ -140,6 +141,28 @@ class TestConditioning:
         forward = condition(condition(state, ea), eb)
         backward = condition(condition(state, eb), ea)
         assert np.array_equal(forward.log_values, backward.log_values)
+
+    def test_nine_outcomes_sum_left_to_right(self):
+        # numpy's own row sums change order at 8 or more columns (for one
+        # world at a time, say); conditioning must not, whatever the world
+        # count, so that a restricted state agrees with the full one.
+        al = make_alphabet([f"o{i}" for i in range(9)])
+        worlds = [
+            mass_function(al, [Fraction(k, 45) for k in (1, 2, 3, 4, 5, 6, 7, 8, 9)]),
+            mass_function(al, [Fraction(k, 45) for k in (9, 8, 7, 6, 5, 4, 3, 2, 1)]),
+            mass_function(al, [Fraction(k, 45) for k in (0, 3, 5, 7, 2, 11, 13, 4, 0)]),
+        ]
+        event = ObservationEvent(al, (3, 2, 5, 2, 8, 8, 8, 7, 4))
+        state = init_state(worlds, ENTROPY)
+        singles = [restrict_state(state, Proposition.of([i])) for i in (0, 1)]
+        for s in [state] + singles:
+            values = condition(s, event).log_values
+            for world, base, got in zip(s.worlds, s.base_log, values):
+                total = 0.0
+                for c, w in zip(event.counts, world.weights):
+                    if c:
+                        total += (math.log(w) if w > 0 else -math.inf) * c
+                assert got == base + total
 
 
 class TestArgmax:
