@@ -54,6 +54,8 @@ def _load_model(path: str) -> doxastic.Model:
 
 
 def _cmd_grid(args) -> int:
+    if args.resolution < 1:
+        raise _UsageError("--resolution must be at least 1")
     alphabet = simplex.make_alphabet(args.alphabet.split(","))
     worlds = simplex.simplex_grid(alphabet, args.resolution)
     fn = {"entropy": ENTROPY, "centre_of_mass": CENTRE_OF_MASS}[args.plausibility]
@@ -99,6 +101,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    if args.trials < 1:
+        raise _UsageError("--trials must be at least 1")
     report = logic.axiom_suite(
         trials=args.trials,
         seed=args.seed,
@@ -115,6 +119,10 @@ def _parse_truth(alphabet, text: str) -> simplex.MassFunction:
 
 
 def _cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise _UsageError("--trials must be at least 1")
+    if args.eps is not None and not args.eps > 0:
+        raise _UsageError("--eps must be positive")
     model = _load_model(args.model)
     if not model.frame.state.event.is_empty:
         raise _UsageError(f"model {args.model} has non-empty conditioned_on, "

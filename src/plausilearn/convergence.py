@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .plausibility import (
     PlausibilityFn,
@@ -192,6 +191,24 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
     return _settled(fails, cfg.horizon, shared.worlds_of(_tie_mask(values[-1])), trace)
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """ln(sum(exp(row))) of each row of `a`, float operation for float
+    operation as scipy 1.17's `logsumexp(a, axis=1)`: the maxima of a row
+    are taken out of its sum, and where that gives no finite result the
+    plain ln(sum(exp)) stands instead.  A row with no entries gives -inf."""
+    if a.shape[1] == 0:
+        return np.full(a.shape[0], -math.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.exp(a).sum(axis=1))
+        top = a.max(axis=1, keepdims=True)
+        is_top = a == top
+        tops = is_top.sum(axis=1, dtype=a.dtype)
+        rest = np.exp(np.where(is_top, -math.inf, a) - top).sum(axis=1)
+        rest = np.where(rest == 0, rest, rest / tops)
+        out = np.log1p(rest) + np.log(tops) + top[:, 0]
+    return np.where(np.isfinite(out), out, direct)
+
+
 def bayesian_baseline_trial(
     cfg: TrialConfig, threshold: float = 0.95, shared: _Shared | None = None
 ) -> TrialResult:
@@ -208,9 +225,9 @@ def bayesian_baseline_trial(
     prior = np.full(len(shared.order), -math.log(len(shared.order)))
     fails = []
     for log_post in _blocks(shared, stream, prior):
-        norm = logsumexp(log_post, axis=1)
+        norm = _logsumexp_rows(log_post)
         with np.errstate(invalid="ignore"):
-            ball_mass = np.exp(logsumexp(log_post[:, :shared.inside], axis=1) - norm)
+            ball_mass = np.exp(_logsumexp_rows(log_post[:, :shared.inside]) - norm)
         # NaN (every world at plausibility 0) fails, as a mass of 0 does.
         fails.append(~(ball_mass > threshold))
     last = log_post[-1] - norm[-1] if norm[-1] > -math.inf else log_post[-1]

@@ -33,24 +33,34 @@ Notes on ambiguity resolution:
 Precedence: ``~`` binds tightest, then ``&``, then ``|``, then ``->``;
 ``K``, ``B`` and ``[...]`` take a unary operand, so ``K (p & q)`` needs
 the parentheses.
+
+Model checking labels every subformula with its extension, bottom up
+(Clarke, Grumberg & Peled, *Model Checking*), under the conditional-belief
+and update semantics of Baltag & Smets (2008).  Each entry point compiles
+its formula once into a DAG in which structurally equal subformulas share
+one node, so each is evaluated once per model.  A linear atom is decided
+for every world at once, exactly, by one integer dot product with the
+world weights over their common denominator.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .doxastic import (
-    Model,
-    conditional_belief_event,
-    conditional_belief_prop,
-    make_model,
-    update_proposition,
-    update_sampling,
+import numpy as np
+
+from .doxastic import Model, make_model, update_proposition, update_sampling
+from .plausibility import (
+    _INT64_MAX,
+    _argmax_mask,
+    _tie_mask,
+    condition,
+    tabulated,
 )
-from .plausibility import tabulated
 from .simplex import (
     ObservationEvent,
     Proposition,
@@ -508,9 +518,12 @@ def print_formula(node: Formula) -> str:
 
 # ---------------------------------------------------------------------------
 # Semantics
-
-# Atoms are a LinIneq on lin >= inside unary position: parenthesised when
-# printed under a unary operator so "K w(H) >= 1" round-trips; handled above.
+#
+# A compiled formula is a list of hash-consed nodes, each a tuple of its
+# Formula class, the integer ids of its children and its payload.  A model
+# is an integer handle owned by the evaluator (the root is 0, each submodel
+# an update builds is appended), and an extension is an int bitset, bit i
+# standing for world i; both become objects only at the public boundary.
 
 
 @dataclass
@@ -522,93 +535,160 @@ class CheckResult:
     trace: list[tuple[str, bool]] = field(default_factory=list)
 
 
+def _bits(mask: np.ndarray) -> int:
+    """The bitset of a bool mask: bit i is mask[i]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _mask(bits: int, n: int) -> np.ndarray:
+    """The bool mask of length `n` of a bitset."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def _members(bits: int, n: int) -> list[int]:
+    return np.flatnonzero(_mask(bits, n)).tolist()
+
+
+def _decide_atom(state, alphabet, terms, bound: Fraction) -> np.ndarray:
+    """Mask of the worlds where the sum of the terms is at least `bound`.
+
+    Both sides are multiplied by the least common denominator of the
+    coefficients and by the state's weight denominator: the sum becomes
+    one integer dot product with the weight numerators, and the bound can
+    be rounded up to an integer."""
+    scale = math.lcm(*(coeff.denominator for coeff, _ in terms))
+    coefficients = [0] * alphabet.size
+    for coeff, name in terms:
+        coefficients[alphabet.index(name)] += scale // coeff.denominator * coeff.numerator
+    threshold = -(-bound.numerator * scale * state.denominator // bound.denominator)
+    largest = max(sum(map(abs, coefficients)) * state.denominator, abs(threshold))
+    fits = state.numerators.dtype != object and largest <= _INT64_MAX
+    dtype = np.int64 if fits else object
+    weights = state.numerators.astype(dtype, copy=False)
+    return weights @ np.array(coefficients, dtype=dtype) >= threshold
+
+
 class _Evaluator:
-    def __init__(self, skip_relativization: bool = False):
+    """Extensions of compiled formulas in one root model and the submodels
+    its updates build."""
+
+    def __init__(self, model: Model, skip_relativization: bool = False):
         self.skip_relativization = skip_relativization
-        self.ext_cache: dict = {}
-        self.submodels: dict = {}
+        self.models = [model]  # handle -> model
+        self.submodels: dict = {}  # (handle, update, counts or bitset) -> handle
+        self.nodes: list[tuple] = []  # node id -> (kind, *child ids, *payload)
+        self.node_ids: dict = {}  # node -> node id
+        self.labels: dict = {}  # (handle, node id) -> bitset
 
-    def extension(self, model: Model, f: Formula) -> frozenset[int]:
-        key = (id(model), f)
-        cached = self.ext_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._compute(model, f)
-        self.ext_cache[key] = result
-        return result
+    def compile(self, f: Formula) -> int:
+        """Node id of `f`; structurally equal formulas get the same id."""
+        kind = type(f)
+        if kind is Top:
+            node = (Top,)
+        elif kind is LinIneq:
+            node = (LinIneq, f.terms, f.bound)
+        elif kind is Not or kind is K:
+            node = (kind, self.compile(f.operand))
+        elif kind is And or kind is Or:
+            node = (kind, self.compile(f.left), self.compile(f.right))
+        elif kind is BelCond:
+            node = (BelCond, self.compile(f.body), self.compile(f.cond))
+        elif kind is BelObs or kind is DynObs:
+            node = (kind, self.compile(f.body), f.obs)
+        elif kind is DynAnn:
+            node = (DynAnn, self.compile(f.ann), self.compile(f.body))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        node_id = self.node_ids.get(node)
+        if node_id is None:
+            node_id = self.node_ids[node] = len(self.nodes)
+            self.nodes.append(node)
+        return node_id
 
-    def _compute(self, model: Model, f: Formula) -> frozenset[int]:
-        worlds = model.worlds
-        everything = frozenset(range(len(worlds)))
-        if isinstance(f, Top):
+    def label(self, handle: int, node_id: int) -> int:
+        """Extension of node `node_id` in model `handle`, as a bitset."""
+        key = (handle, node_id)
+        bits = self.labels.get(key)
+        if bits is None:
+            bits = self.labels[key] = self._compute(handle, node_id)
+        return bits
+
+    def _compute(self, handle: int, node_id: int) -> int:
+        model = self.models[handle]
+        n = len(model.worlds)
+        everything = (1 << n) - 1
+        kind, *args = self.nodes[node_id]
+        if kind is Top:
             return everything
-        if isinstance(f, LinIneq):
-            return frozenset(
-                i
-                for i, w in enumerate(worlds)
-                if sum(a * w.weight(o) for a, o in f.terms) >= f.bound
-            )
-        if isinstance(f, Not):
-            return everything - self.extension(model, f.operand)
-        if isinstance(f, And):
-            return self.extension(model, f.left) & self.extension(model, f.right)
-        if isinstance(f, Or):
-            return self.extension(model, f.left) | self.extension(model, f.right)
-        if isinstance(f, K):
-            inner = self.extension(model, f.operand)
-            return everything if inner == everything else frozenset()
-        if isinstance(f, BelCond):
-            p = Proposition(self.extension(model, f.body))
-            q = Proposition(self.extension(model, f.cond))
-            holds = conditional_belief_prop(model.frame, p, q)
-            return everything if holds else frozenset()
-        if isinstance(f, BelObs):
-            p = Proposition(self.extension(model, f.body))
-            event = observe(model.alphabet, f.obs)
-            holds = conditional_belief_event(model.frame, p, event)
-            return everything if holds else frozenset()
-        if isinstance(f, DynObs):
-            event = observe(model.alphabet, f.obs)
-            sub = self._submodel(model, update_sampling, event)
+        if kind is LinIneq:
+            return _bits(_decide_atom(model.frame.state, model.alphabet, *args))
+        if kind is Not:
+            return everything ^ self.label(handle, args[0])
+        if kind is And:
+            return self.label(handle, args[0]) & self.label(handle, args[1])
+        if kind is Or:
+            return self.label(handle, args[0]) | self.label(handle, args[1])
+        if kind is K:
+            return everything if self.label(handle, args[0]) == everything else 0
+        if kind is BelCond:
+            # Belief in the body among the most plausible cond-worlds;
+            # vacuously true when there are none.
+            cond = self.label(handle, args[1])
+            if cond:
+                values = model.frame.state.log_values
+                best = _bits(_argmax_mask(values, _mask(cond, n)))
+                if best & ~self.label(handle, args[0]):
+                    return 0
+            return everything
+        if kind is BelObs:
+            event = observe(model.alphabet, args[1])
+            best = _bits(_tie_mask(condition(model.frame.state, event).log_values))
+            return 0 if best & ~self.label(handle, args[0]) else everything
+        if kind is DynObs:
+            counts = observe(model.alphabet, args[1]).counts
+            sub = self._submodel(handle, update_sampling, counts)
             # Sampling keeps the world set, so indices carry over.
-            return self.extension(sub, f.body)
-        if isinstance(f, DynAnn):
-            return self._announce(model, f, everything)
-        raise TypeError(f"not a formula: {f!r}")
+            return self.label(sub, args[0])
+        return self._announce(handle, args[0], args[1], n)
 
-    def _submodel(self, model: Model, update, arg) -> Model:
-        # Submodels stay cached, and so alive, as long as the evaluator:
-        # the id() in every cache key names a live model.
-        key = (id(model), update, arg)
-        sub = self.submodels.get(key)
+    def _submodel(self, handle: int, update, key) -> int:
+        """Handle of the model `update` builds from model `handle`, given
+        sampling counts or the bitset of the announced worlds."""
+        sub = self.submodels.get((handle, update, key))
         if sub is None:
-            sub = self.submodels[key] = update(model, arg)
+            model = self.models[handle]
+            if update is update_sampling:
+                arg = ObservationEvent(model.alphabet, key)
+            else:
+                arg = Proposition.of(_members(key, len(model.worlds)))
+            sub = self.submodels[handle, update, key] = len(self.models)
+            self.models.append(update(model, arg))
         return sub
 
-    def _announce(
-        self, model: Model, f: DynAnn, everything: frozenset[int]
-    ) -> frozenset[int]:
-        ann_ext = self.extension(model, f.ann)
+    def _announce(self, handle: int, ann_id: int, body_id: int, n: int) -> int:
+        ann = self.label(handle, ann_id)
+        everything = (1 << n) - 1
         if self.skip_relativization:
             # Deliberately broken semantics for mutation testing: evaluate
             # the body after the announcement regardless of whether the
             # world satisfies it (keeping the world in the submodel).
-            result = set()
-            for i in everything:
-                kept = ann_ext | {i}
-                sub = self._submodel(model, update_proposition, Proposition(kept))
-                if sorted(kept).index(i) in self.extension(sub, f.body):
-                    result.add(i)
-            return frozenset(result)
-        if not ann_ext:
+            result = 0
+            for i in range(n):
+                kept = ann | 1 << i
+                sub = self._submodel(handle, update_proposition, kept)
+                position = (kept & ((1 << i) - 1)).bit_count()
+                result |= (self.label(sub, body_id) >> position & 1) << i
+            return result
+        if not ann:
             return everything
-        sub = self._submodel(model, update_proposition, Proposition(ann_ext))
-        kept = sorted(ann_ext)
-        body_ext = self.extension(sub, f.body)
-        survivors = frozenset(
-            world for pos, world in enumerate(kept) if pos in body_ext
-        )
-        return (everything - ann_ext) | survivors
+        sub = self._submodel(handle, update_proposition, ann)
+        # Bit k of the body's extension in the submodel stands for the k-th
+        # announced world.
+        kept = np.flatnonzero(_mask(ann, n))
+        survivors = np.zeros(n, dtype=bool)
+        survivors[kept[_mask(self.label(sub, body_id), len(kept))]] = True
+        return (everything ^ ann) | _bits(survivors)
 
 
 def _world_index(model: Model, world) -> int:
@@ -622,18 +702,23 @@ def _world_index(model: Model, world) -> int:
 def satisfies(model: Model, world, f: Formula, *, skip_relativization=False) -> bool:
     """True iff `f` holds at `world` (a MassFunction or index) in `model`."""
     index = _world_index(model, world)
-    ev = _Evaluator(skip_relativization)
-    return index in ev.extension(model, f)
+    ev = _Evaluator(model, skip_relativization)
+    return bool(ev.label(0, ev.compile(f)) >> index & 1)
 
 
 def check(model: Model, world, f: Formula) -> CheckResult:
     """Like `satisfies`, with verdicts for the immediate subformulas."""
     index = _world_index(model, world)
-    ev = _Evaluator()
-    verdict = index in ev.extension(model, f)
-    trace = []
-    for sub in _immediate_subformulas(f):
-        trace.append((print_formula(sub), index in ev.extension(model, sub)))
+    ev = _Evaluator(model)
+    root = ev.compile(f)
+    verdict = bool(ev.label(0, root) >> index & 1)
+    # Compiled children come in the order of _immediate_subformulas; zip
+    # drops the cond T of a simple belief and the payload of the others.
+    children = ev.nodes[root][1:]
+    trace = [
+        (print_formula(sub), bool(ev.label(0, child) >> index & 1))
+        for sub, child in zip(_immediate_subformulas(f), children)
+    ]
     return CheckResult(verdict, index, trace)
 
 
@@ -653,14 +738,14 @@ def _immediate_subformulas(f: Formula) -> list[Formula]:
 
 def extension(model: Model, f: Formula, *, skip_relativization=False) -> Proposition:
     """The set of worlds of `model` satisfying `f`."""
-    ev = _Evaluator(skip_relativization)
-    return Proposition(ev.extension(model, f))
+    ev = _Evaluator(model, skip_relativization)
+    return Proposition.of(_members(ev.label(0, ev.compile(f)), len(model.worlds)))
 
 
 def valid_in_model(model: Model, f: Formula, *, skip_relativization=False) -> bool:
     """True iff `f` holds at every world of `model`."""
-    ev = _Evaluator(skip_relativization)
-    return ev.extension(model, f) == frozenset(range(len(model.worlds)))
+    ev = _Evaluator(model, skip_relativization)
+    return ev.label(0, ev.compile(f)) == (1 << len(model.worlds)) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ recomputes the current values from those; integer count addition is exactly
 commutative, so any conditioning order yields identical floats.  One kernel
 does that recomputation for one count vector (`condition`) or for a block of
 them at once (the settling simulator), in the same float order.
+
+A state also holds its world weights exactly, as integer numerators over one
+common denominator, so that the model checker can decide linear atoms by
+integer dot products.
 """
 
 from __future__ import annotations
@@ -114,6 +118,8 @@ class PlausibilityState:
     `event` is the accumulated sampling evidence; `log_weights` is the
     worlds x outcomes matrix of ln(world weight).  `log_values` is always
     base_log + log-likelihood(world, event), recomputed on conditioning.
+    `numerators` is the worlds x outcomes matrix of world weights times
+    `denominator`, exact: int64 when every entry fits, Python ints otherwise.
     """
 
     worlds: tuple[MassFunction, ...]
@@ -121,6 +127,8 @@ class PlausibilityState:
     event: ObservationEvent
     log_values: np.ndarray = field(repr=False)
     log_weights: np.ndarray = field(repr=False)
+    numerators: np.ndarray = field(repr=False)
+    denominator: int
 
     def __len__(self) -> int:
         return len(self.worlds)
@@ -152,6 +160,11 @@ def _log_plausibilities(
     return np.add(total, base_log, out=total)
 
 
+#: Largest int64: bigger weight denominators, and the model checker's dot
+#: products that could pass it, use Python ints instead.
+_INT64_MAX = 2**63 - 1
+
+
 def _tie_mask(values: np.ndarray, tolerance: float = TIE_TOLERANCE) -> np.ndarray:
     """Row-wise mask of the entries that tie their row's maximum; all True
     in a row of -inf, where every world is maximal."""
@@ -163,6 +176,17 @@ def _tie_mask(values: np.ndarray, tolerance: float = TIE_TOLERANCE) -> np.ndarra
             best - values <= tolerance * np.maximum(np.maximum(best, 1.0), -values)
         )
     return ties | (best == -math.inf)
+
+
+def _argmax_mask(
+    values: np.ndarray, within: np.ndarray, tolerance: float = TIE_TOLERANCE
+) -> np.ndarray:
+    """Mask of the worlds in the mask `within` whose value ties the maximum
+    over `within`; all False when `within` is."""
+    best = np.zeros(len(values), dtype=bool)
+    if within.any():
+        best[within] = _tie_mask(values[within], tolerance)
+    return best
 
 
 def init_state(worlds, fn: PlausibilityFn) -> PlausibilityState:
@@ -177,13 +201,22 @@ def init_state(worlds, fn: PlausibilityFn) -> PlausibilityState:
     base = np.array(
         [math.log(v) if v > 0 else -math.inf for v in fn.values_for(worlds)]
     )
-    # MassFunction.log_weights row by row, built as one array: about twice
-    # as fast as stacking per-world arrays on large grids.
+    # Every weight as (numerator, denominator), row by row.  math.log of a
+    # Fraction takes the log of numerator / denominator, so the log-weight
+    # matrix is the one MassFunction.log_weights gives, built as one array.
+    ratios = [x.as_integer_ratio() for w in worlds for x in w.weights]
+    shape = (len(worlds), alphabet.size)
     log_weights = np.array(
-        [[math.log(x) if x else -math.inf for x in w.weights] for w in worlds]
-    )
+        [math.log(n / d) if n else -math.inf for n, d in ratios]
+    ).reshape(shape)
+    denominator = math.lcm(*{d for _, d in ratios})
+    numerators = np.array(
+        [n * (denominator // d) for n, d in ratios],
+        dtype=np.int64 if denominator <= _INT64_MAX else object,
+    ).reshape(shape)
     return PlausibilityState(
-        worlds, base, empty_event(alphabet), base.copy(), log_weights
+        worlds, base, empty_event(alphabet), base.copy(), log_weights,
+        numerators, denominator,
     )
 
 
@@ -218,11 +251,10 @@ def argmax_restricted(
     tolerance: float = TIE_TOLERANCE,
 ) -> Proposition:
     """Argmax of the state among the worlds in `restriction` only."""
-    members = np.array(sorted(restriction.members), dtype=int)
-    if not members.size:
-        return Proposition.of(())
-    mask = _tie_mask(state.log_values[members], tolerance)
-    return Proposition.of(members[mask].tolist())
+    within = np.zeros(len(state), dtype=bool)
+    within[list(restriction.members)] = True
+    best = _argmax_mask(state.log_values, within, tolerance)
+    return Proposition.of(np.flatnonzero(best).tolist())
 
 
 def restrict_state(state: PlausibilityState, keep: Proposition) -> PlausibilityState:
@@ -237,4 +269,6 @@ def restrict_state(state: PlausibilityState, keep: Proposition) -> PlausibilityS
         state.event,
         state.log_values[members],
         state.log_weights[members],
+        state.numerators[members],
+        state.denominator,
     )

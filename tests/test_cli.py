@@ -273,6 +273,51 @@ class TestSimulate:
         assert code == 2
 
 
+class TestBadNumbers:
+    """Out-of-range numeric options exit 2 with a one-line message."""
+
+    def assert_usage_error(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_simulate_eps_zero(self, model_path, capsys):
+        self.assert_usage_error(
+            ["simulate", "--model", str(model_path), "--truth", "7/10,3/10",
+             "--horizon", "10", "--eps", "0"],
+            capsys,
+        )
+
+    def test_simulate_trials_zero(self, model_path, capsys):
+        self.assert_usage_error(
+            ["simulate", "--model", str(model_path), "--truth", "7/10,3/10",
+             "--horizon", "10", "--trials", "0"],
+            capsys,
+        )
+
+    def test_grid_resolution_zero(self, capsys):
+        self.assert_usage_error(
+            ["grid", "--alphabet", "H,T", "--resolution", "0"], capsys
+        )
+
+    def test_axioms_trials_zero(self, capsys):
+        self.assert_usage_error(["axioms", "--trials", "0"], capsys)
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(plausilearn.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, plausilearn, plausilearn.cli; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 class TestUsage:
     def test_no_command_exit_two(self, capsys):
         assert run([]) == 2

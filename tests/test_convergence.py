@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy
 from scipy.special import logsumexp
 
 from plausilearn import (
@@ -28,6 +29,7 @@ from plausilearn.convergence import (
     _BLOCK_CELLS,
     TruthNotInWorldsError,
     ZeroPlausibilityTruthError,
+    _logsumexp_rows,
 )
 from plausilearn.simplex import ObservationEvent
 
@@ -293,6 +295,28 @@ class TestBaseline:
             got = bayesian_baseline_trial(cfg)
             reference = sequential_baseline(cfg)
             assert (got.settled, got.settle_time, got.final_argmax) == reference
+
+    def test_logsumexp_rows_matches_scipy(self):
+        # Bit-identical under the scipy release whose float operations it
+        # repeats; within a few ulps under any other.
+        exact = scipy.__version__.startswith("1.17.")
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            rows, cols = rng.integers(1, 30), rng.integers(1, 40)
+            a = rng.normal(scale=rng.choice([1.0, 50.0]), size=(rows, cols))
+            a -= rng.uniform(0, 1e4)
+            a[rng.random(a.shape) < rng.choice([0.0, 0.3, 0.9])] = -math.inf
+            a[rng.integers(rows)] = -math.inf
+            tied = rng.integers(rows)
+            a[tied, rng.integers(cols, size=3)] = a[tied].max()
+            # Whole blocks, column slices (the ball) and empty slices.
+            for block in (a, a[:, :rng.integers(cols + 1)], a[:, :0]):
+                want = logsumexp(block, axis=1)
+                got = _logsumexp_rows(block)
+                if exact:
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_shares_stream_with_plausibilist(self, three_coins):
         cfg = coin_config(

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,7 @@ from plausilearn import (
     simplex_grid,
     valid_in_model,
 )
+from plausilearn import logic
 from plausilearn.logic import (
     TOP,
     And,
@@ -29,11 +31,13 @@ from plausilearn.logic import (
     Or,
     ParseError,
     belief,
+    iff,
     implies,
     random_formula,
     random_model,
 )
-from plausilearn.simplex import UnknownOutcomeError
+from plausilearn.plausibility import tabulated
+from plausilearn.simplex import UnknownOutcomeError, mass_function
 
 
 def lin(coeffs, bound):
@@ -273,6 +277,130 @@ class TestSemantics:
             assert extension(model, left) == extension(model, right)
 
 
+def fraction_extension(model, atom):
+    """Reference: the per-world Fraction sum of the atom's terms."""
+    return {
+        i
+        for i, w in enumerate(model.worlds)
+        if sum(a * w.weight(o) for a, o in atom.terms) >= atom.bound
+    }
+
+
+def mixed_denominator_model(alphabet, rng):
+    """Worlds off any grid: weights with unrelated denominators."""
+    worlds = set()
+    while len(worlds) < 8:
+        weights, left = [], Fraction(1)
+        for _ in alphabet.names[:-1]:
+            den = rng.choice([2, 3, 5, 7, 9, 11, 13, 16, 25, 49])
+            weights.append(Fraction(rng.randint(0, int(left * den)), den))
+            left -= weights[-1]
+        worlds.add(mass_function(alphabet, weights + [left]))
+    return make_model(sorted(worlds, key=str), tabulated([1.0] * len(worlds)))
+
+
+def atom_text(terms, bound: Fraction) -> str:
+    """Surface text of sum(terms) >= bound; each coefficient is a string
+    (a fraction or a decimal literal, with an optional leading minus)."""
+    parts = []
+    for i, (coeff, name) in enumerate(terms):
+        sign, mag = ("-", coeff[1:]) if coeff.startswith("-") else ("+", coeff)
+        lead = ("-" if sign == "-" else "") if i == 0 else f" {sign} "
+        parts.append(f"{lead}{mag} * w({name})")
+    return "".join(parts) + f" >= {bound.numerator}/{bound.denominator}"
+
+
+class TestIntegerAtoms:
+    """Atoms are decided by integer dot products; the reference is the
+    per-world Fraction sum."""
+
+    coefficient = st.one_of(
+        st.builds(
+            lambda n, d: f"{n}/{d}",
+            st.integers(-12, 12),
+            st.sampled_from([1, 2, 3, 4, 7, 10, 60]),
+        ),
+        st.builds(  # a decimal literal: n / 10**places
+            lambda n, places: ("-" if n < 0 else "")
+            + f"{abs(n) // 10**places}.{abs(n) % 10**places:0{places}d}",
+            st.integers(-300, 300),
+            st.integers(1, 3),
+        ),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), grid=st.booleans(), seed=st.integers(0, 10**6))
+    def test_matches_fraction_sums(self, data, grid, seed):
+        from plausilearn import make_alphabet
+
+        urn = make_alphabet(["R", "B", "G"])
+        rng = random.Random(seed)
+        model = (
+            make_model(simplex_grid(urn, 12), ENTROPY)
+            if grid
+            else mixed_denominator_model(urn, rng)
+        )
+        terms = data.draw(
+            st.lists(st.tuples(self.coefficient, st.sampled_from(urn.names)),
+                     min_size=1, max_size=4)
+        )
+        at = data.draw(st.integers(0, len(model.worlds) - 1))
+        exact = sum(Fraction(c) * model.worlds[at].weight(o) for c, o in terms)
+        bound = data.draw(st.sampled_from([exact, exact + Fraction(1, 997), -exact]))
+        atom = parse(atom_text(terms, bound), urn)
+        assert isinstance(atom, LinIneq)
+        got = extension(model, atom).members
+        assert got == fraction_extension(model, atom)
+        if bound == exact:
+            assert at in got
+
+    def test_grid_weights_are_int64(self, urn):
+        state = make_model(simplex_grid(urn, 60), ENTROPY).frame.state
+        assert state.numerators.dtype == np.int64
+        assert state.denominator == 60
+
+    def test_huge_denominator_takes_python_ints(self, coin):
+        tiny = Fraction(1, 2**70)
+        worlds = [
+            mass_function(coin, [Fraction(1, 2) + tiny, Fraction(1, 2) - tiny]),
+            mass_function(coin, [Fraction(1, 2), Fraction(1, 2)]),
+            mass_function(coin, [Fraction(1, 3), Fraction(2, 3)]),
+        ]
+        model = make_model(worlds, ENTROPY)
+        assert model.frame.state.numerators.dtype == object
+        for text in ["w(H) >= 1/2", f"w(H) - w(T) >= 2/{2**70}", "w(H) <= 1/2"]:
+            atom = parse(text, coin)
+            assert extension(model, atom).members == fraction_extension(model, atom)
+        assert extension(model, parse("w(H) > 1/2", coin)).members == {0}
+
+    def test_huge_coefficient_takes_python_ints(self, urn):
+        model = make_model(simplex_grid(urn, 60), ENTROPY)
+        big = 10**30
+        atom = lin([(big, "R"), (-big, "B"), (1, "G")], Fraction(1, 60))
+        got = extension(model, atom).members
+        assert got == fraction_extension(model, atom)
+        assert 0 < len(got) < len(model.worlds)
+
+    def test_equal_subformulas_decide_each_atom_once(self, urn, monkeypatch):
+        decided = []
+        kernel = logic._decide_atom
+        monkeypatch.setattr(
+            logic, "_decide_atom", lambda *args: decided.append(args) or kernel(*args)
+        )
+        model = make_model(simplex_grid(urn, 6), ENTROPY)
+
+        def p():
+            return And(
+                parse("w(R) >= 1/3", urn),
+                Not(parse("2 * w(B) - w(G) >= 1/2", urn)),
+            )
+
+        p1, p2 = p(), p()
+        assert p1 == p2 and p1 is not p2
+        assert valid_in_model(model, iff(p1, p2))
+        assert len(decided) == 2
+
+
 class TestAxiomSuite:
     def test_clean_run(self):
         report = axiom_suite(trials=25, seed=42)
@@ -292,6 +420,10 @@ class TestAxiomSuite:
             "announce_knowledge",
             "announce_belief",
         }
+
+    def test_mutation_counterexample_count(self):
+        report = axiom_suite(25, 42, skip_relativization=True)
+        assert len(report.counterexamples) == 35
 
     def test_report_serializes(self):
         report = axiom_suite(trials=5, seed=1)
