@@ -14,8 +14,8 @@ from plausilearn import (
     ENTROPY,
     ObservationEvent,
     belief_holds,
+    init_state,
     make_alphabet,
-    make_model,
     simplex_grid,
     update_proposition,
     update_sampling,
@@ -25,7 +25,7 @@ from plausilearn.simplex import Proposition
 
 
 def describe(model, label):
-    best = argmax_worlds(model.frame.state)
+    best = argmax_worlds(model)
     names = [
         f"w(H)={model.worlds[i].weight('H')}" for i in sorted(best.members)
     ]
@@ -35,7 +35,7 @@ def describe(model, label):
 def main():
     coin = make_alphabet(["H", "T"])
     grid = simplex_grid(coin, 10)
-    model = make_model(grid, ENTROPY)
+    model = init_state(grid, ENTROPY)
 
     print("=== sampling evidence (reweights, keeps all worlds) ===")
     describe(model, "no evidence")
@@ -58,7 +58,7 @@ def main():
     print()
     print(
         "belief in the fair coin before:",
-        belief_holds(model.frame, Proposition.of([fair_index])),
+        belief_holds(model, Proposition.of([fair_index])),
     )
 
 

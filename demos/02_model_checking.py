@@ -11,8 +11,8 @@ Run with: python3 demos/02_model_checking.py
 from plausilearn import (
     ENTROPY,
     extension,
+    init_state,
     make_alphabet,
-    make_model,
     parse,
     print_formula,
     simplex_grid,
@@ -33,7 +33,7 @@ FORMULAS = [
 
 def main():
     coin = make_alphabet(["H", "T"])
-    model = make_model(simplex_grid(coin, 10), ENTROPY)
+    model = init_state(simplex_grid(coin, 10), ENTROPY)
 
     for text in FORMULAS:
         ast = parse(text, coin)

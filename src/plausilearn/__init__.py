@@ -28,8 +28,8 @@ from .simplex import (
 from .plausibility import (
     CENTRE_OF_MASS,
     ENTROPY,
+    Model,
     PlausibilityFn,
-    PlausibilityState,
     argmax_worlds,
     centre_of_mass_plausibility,
     condition,
@@ -38,15 +38,11 @@ from .plausibility import (
     tabulated,
 )
 from .doxastic import (
-    Frame,
-    Model,
     belief_holds,
     conditional_belief_event,
     conditional_belief_prop,
     knowledge_holds,
     load_model,
-    make_frame,
-    make_model,
     model_from_dict,
     model_to_dict,
     save_model,

@@ -17,7 +17,7 @@ import textwrap
 from fractions import Fraction
 
 from . import convergence, doxastic, logic, simplex
-from .plausibility import CENTRE_OF_MASS, ENTROPY
+from .plausibility import CENTRE_OF_MASS, ENTROPY, Model, init_state
 
 # The grammar has one source: the EBNF block of the `logic` docstring.
 _EBNF = re.search(r"EBNF\)::\n\n(.*?)\n\n", logic.__doc__ or "", re.S)
@@ -37,7 +37,7 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _load_model(path: str) -> doxastic.Model:
+def _load_model(path: str) -> Model:
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -56,23 +56,29 @@ def _load_model(path: str) -> doxastic.Model:
 def _cmd_grid(args) -> int:
     if args.resolution < 1:
         raise _UsageError("--resolution must be at least 1")
-    alphabet = simplex.make_alphabet(args.alphabet.split(","))
+    try:
+        alphabet = simplex.make_alphabet(args.alphabet.split(","))
+    except ValueError as exc:
+        raise _UsageError(f"bad --alphabet: {exc}") from exc
     worlds = simplex.simplex_grid(alphabet, args.resolution)
     fn = {"entropy": ENTROPY, "centre_of_mass": CENTRE_OF_MASS}[args.plausibility]
-    model = doxastic.make_model(worlds, fn)
+    model = init_state(worlds, fn)
     if args.condition:
-        event = simplex.parse_event(alphabet, args.condition)
+        try:
+            event = simplex.parse_event(alphabet, args.condition)
+        except simplex.UnknownOutcomeError as exc:
+            raise _UsageError(f"bad --condition: {exc}") from exc
         model = doxastic.update_sampling(model, event)
-    payload = doxastic.model_to_dict(model, fn)
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        try:
+            doxastic.save_model(args.output, model)
+        except OSError as exc:
+            raise _UsageError(f"cannot write model file {args.output}: {exc}") from exc
         sys.stdout.write(
             f"wrote model with {len(worlds)} worlds to {args.output}\n"
         )
     else:
-        _emit_json(payload)
+        _emit_json(doxastic.model_to_dict(model))
     return 0
 
 
@@ -124,20 +130,16 @@ def _cmd_simulate(args) -> int:
     if args.eps is not None and not args.eps > 0:
         raise _UsageError("--eps must be positive")
     model = _load_model(args.model)
-    if not model.frame.state.event.is_empty:
+    if not model.event.is_empty:
         raise _UsageError(f"model {args.model} has non-empty conditioned_on, "
                           "which simulate does not support")
-    with open(args.model) as fh:
-        payload_fn = doxastic._plausibility_from_spec(
-            json.load(fh).get("plausibility", "entropy")
-        )
     try:
         truth = _parse_truth(model.alphabet, args.truth)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad truth vector: {exc}") from exc
     cfg = convergence.TrialConfig(
         worlds=model.worlds,
-        plausibility=payload_fn,
+        plausibility=model.fn,
         truth=truth,
         horizon=args.horizon,
         seed=args.seed,
@@ -153,17 +155,20 @@ def _cmd_simulate(args) -> int:
     ) as exc:
         raise _UsageError(str(exc)) from exc
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["trial", "settled", "settle_time"]
-            if args.baseline:
-                header.append("baseline_settle_time")
-            writer.writerow(header)
-            for i, result in enumerate(summary.trial_results):
-                row = [i, int(result.settled), result.settle_time]
+        try:
+            with open(args.trace, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                header = ["trial", "settled", "settle_time"]
                 if args.baseline:
-                    row.append(summary.baseline.trial_results[i].settle_time)
-                writer.writerow(row)
+                    header.append("baseline_settle_time")
+                writer.writerow(header)
+                for i, result in enumerate(summary.trial_results):
+                    row = [i, int(result.settled), result.settle_time]
+                    if args.baseline:
+                        row.append(summary.baseline.trial_results[i].settle_time)
+                    writer.writerow(row)
+        except OSError as exc:
+            raise _UsageError(f"cannot write trace file {args.trace}: {exc}") from exc
     _emit_json(summary.to_dict())
     return 0
 

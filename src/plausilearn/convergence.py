@@ -124,15 +124,15 @@ class _Shared:
 
 
 def _share(cfg: TrialConfig) -> _Shared:
-    state = init_state(cfg.worlds, cfg.plausibility)
+    model = init_state(cfg.worlds, cfg.plausibility)
     ball = epsilon_ball(cfg.truth, cfg.resolved_epsilon(), list(cfg.worlds)).members
     order = np.array(sorted(range(len(cfg.worlds)), key=lambda i: i not in ball))
     try:
-        truth_base = float(state.base_log[cfg.worlds.index(cfg.truth)])
+        truth_base = float(model.base_log[cfg.worlds.index(cfg.truth)])
     except ValueError:
         truth_base = None
     return _Shared(
-        order, len(ball), state.base_log[order], state.log_weights[order], truth_base
+        order, len(ball), model.base_log[order], model.log_weights[order], truth_base
     )
 
 

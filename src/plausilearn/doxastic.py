@@ -1,22 +1,24 @@
-"""Probabilistic plausibility frames and models, belief operators, updates.
+"""Belief operators and the two updates on plausibility models; model files.
 
-Knowledge is truth in every world of the frame; belief is truth in every
+Knowledge is truth in every world of the model; belief is truth in every
 maximally plausible world (the two coincide with the "plausible enough"
 definitions on finite world sets).  Two updates are supported: sampling
 evidence reweights plausibility and keeps the world set, higher-order
 propositional information shrinks the world set and keeps plausibility.
+The model type itself, `plausibility.Model`, carries its plausibility
+function, so a model file records everything needed to rebuild it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .plausibility import (
     CENTRE_OF_MASS,
     ENTROPY,
+    Model,
     PlausibilityFn,
-    PlausibilityState,
     argmax_restricted,
     argmax_worlds,
     condition,
@@ -25,13 +27,11 @@ from .plausibility import (
     tabulated,
 )
 from .simplex import (
-    MassFunction,
     ObservationEvent,
-    OutcomeAlphabet,
     Proposition,
     make_alphabet,
+    mass_function,
     simplex_grid,
-    worlds_from_json,
 )
 
 
@@ -39,72 +39,27 @@ class EmptyUpdateError(ValueError):
     """Propositional update with the empty proposition."""
 
 
-@dataclass(frozen=True)
-class Frame:
-    """A set of candidate distributions plus a plausibility state over them."""
-
-    worlds: tuple[MassFunction, ...]
-    state: PlausibilityState
-
-    def __post_init__(self):
-        if self.worlds != self.state.worlds:
-            raise ValueError("frame worlds must match the state's worlds")
-
-    @property
-    def all_worlds(self) -> Proposition:
-        return Proposition.of(range(len(self.worlds)))
-
-    def world_index(self, world: MassFunction) -> int:
-        try:
-            return self.worlds.index(world)
-        except ValueError:
-            raise KeyError(f"world {world} not in frame") from None
+def knowledge_holds(model: Model, p: Proposition) -> bool:
+    """True iff every world of the model is in `p`."""
+    return p.members.issuperset(range(len(model)))
 
 
-@dataclass(frozen=True)
-class Model:
-    """A frame over an outcome alphabet (the valuation maps each outcome to
-    its cylinder event, which the i.i.d. assumption makes position-free)."""
-
-    frame: Frame
-    alphabet: OutcomeAlphabet
-
-    @property
-    def worlds(self) -> tuple[MassFunction, ...]:
-        return self.frame.worlds
-
-
-def make_frame(worlds, fn: PlausibilityFn) -> Frame:
-    worlds = tuple(worlds)
-    return Frame(worlds, init_state(worlds, fn))
-
-
-def make_model(worlds, fn: PlausibilityFn) -> Model:
-    frame = make_frame(worlds, fn)
-    return Model(frame, frame.worlds[0].alphabet)
-
-
-def knowledge_holds(frame: Frame, p: Proposition) -> bool:
-    """True iff every world of the frame is in `p`."""
-    return frame.all_worlds.members <= p.members
-
-
-def belief_holds(frame: Frame, p: Proposition) -> bool:
+def belief_holds(model: Model, p: Proposition) -> bool:
     """True iff every maximally plausible world is in `p`."""
-    return argmax_worlds(frame.state) <= p
+    return argmax_worlds(model) <= p
 
 
 def conditional_belief_event(
-    frame: Frame, p: Proposition, e: ObservationEvent
+    model: Model, p: Proposition, e: ObservationEvent
 ) -> bool:
     """Belief in `p` after conditioning plausibility on the evidence `e`.
 
-    The frame itself is not mutated.
+    The model itself is not mutated.
     """
-    return argmax_worlds(condition(frame.state, e)) <= p
+    return argmax_worlds(condition(model, e)) <= p
 
 
-def conditional_belief_prop(frame: Frame, p: Proposition, q: Proposition) -> bool:
+def conditional_belief_prop(model: Model, p: Proposition, q: Proposition) -> bool:
     """Belief in `p` given the higher-order information `q`.
 
     True iff the most plausible q-worlds are all in p; vacuously true when
@@ -112,13 +67,12 @@ def conditional_belief_prop(frame: Frame, p: Proposition, q: Proposition) -> boo
     """
     if not q.members:
         return True
-    return argmax_restricted(frame.state, q) <= p
+    return argmax_restricted(model, q) <= p
 
 
 def update_sampling(model: Model, e: ObservationEvent) -> Model:
     """Model after sampling evidence: same worlds, conditioned plausibility."""
-    frame = model.frame
-    return Model(Frame(frame.worlds, condition(frame.state, e)), model.alphabet)
+    return condition(model, e)
 
 
 def update_proposition(model: Model, p: Proposition) -> Model:
@@ -126,8 +80,7 @@ def update_proposition(model: Model, p: Proposition) -> Model:
     plausibility values carried over unchanged."""
     if not p.members:
         raise EmptyUpdateError("cannot update with the empty proposition")
-    state = restrict_state(model.frame.state, p)
-    return Model(Frame(state.worlds, state), model.alphabet)
+    return restrict_state(model, p)
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +88,17 @@ def update_proposition(model: Model, p: Proposition) -> Model:
 
 _PLAUSIBILITY_NAMES = {"entropy": ENTROPY, "centre_of_mass": CENTRE_OF_MASS}
 
+_MODEL_KEYS = {
+    "alphabet", "worlds", "grid_resolution", "plausibility", "conditioned_on"
+}
+
 
 def _plausibility_from_spec(spec) -> PlausibilityFn:
     if isinstance(spec, str):
         if spec not in _PLAUSIBILITY_NAMES:
             raise ValueError(f"unknown plausibility {spec!r}")
         return _PLAUSIBILITY_NAMES[spec]
-    if isinstance(spec, dict) and "table" in spec:
+    if isinstance(spec, dict) and spec.keys() == {"table"}:
         return tabulated(spec["table"])
     raise ValueError(f"bad plausibility spec {spec!r}")
 
@@ -157,19 +114,36 @@ def model_from_dict(payload: dict) -> Model:
 
     Schema: ``{"alphabet": [...], "grid_resolution": N | "worlds": [...],
     "plausibility": "entropy" | "centre_of_mass" | {"table": ...},
-    "conditioned_on": [counts]}``.
+    "conditioned_on": [counts]}``, exactly one of ``worlds`` and
+    ``grid_resolution``; any other key is an error.
     """
-    alphabet = make_alphabet(payload["alphabet"])
+    if not isinstance(payload, dict):
+        raise ValueError("a model must be a JSON object")
+    unknown = sorted(payload.keys() - _MODEL_KEYS)
+    if unknown:
+        raise ValueError(f"unknown model keys {unknown}")
+    names = payload["alphabet"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError("'alphabet' must be a list of outcome names")
+    alphabet = make_alphabet(names)
+    if ("worlds" in payload) == ("grid_resolution" in payload):
+        raise ValueError("model needs exactly one of 'worlds' and 'grid_resolution'")
     if "worlds" in payload:
-        _, worlds = worlds_from_json(
-            {"alphabet": payload["alphabet"], "worlds": payload["worlds"]}
-        )
-    elif "grid_resolution" in payload:
-        worlds = simplex_grid(alphabet, int(payload["grid_resolution"]))
+        try:
+            worlds = [
+                mass_function(alphabet, [Fraction(num, den) for num, den in vec])
+                for vec in payload["worlds"]
+            ]
+        except TypeError as exc:
+            raise ValueError(
+                f"'worlds' must list [numerator, denominator] integer pairs: {exc}"
+            ) from exc
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in 'worlds': {exc}") from exc
     else:
-        raise ValueError("model needs either 'worlds' or 'grid_resolution'")
+        worlds = simplex_grid(alphabet, int(payload["grid_resolution"]))
     fn = _plausibility_from_spec(payload.get("plausibility", "entropy"))
-    model = make_model(worlds, fn)
+    model = init_state(worlds, fn)
     conditioned = payload.get("conditioned_on")
     if conditioned:
         event = ObservationEvent(alphabet, tuple(int(c) for c in conditioned))
@@ -177,16 +151,16 @@ def model_from_dict(payload: dict) -> Model:
     return model
 
 
-def model_to_dict(model: Model, fn: PlausibilityFn) -> dict:
-    """Serialize a model built from `fn`; records accumulated evidence."""
+def model_to_dict(model: Model) -> dict:
+    """Serialize a model, its plausibility function and accumulated evidence."""
     return {
         "alphabet": list(model.alphabet.names),
         "worlds": [
             [[w.numerator, w.denominator] for w in world.weights]
             for world in model.worlds
         ],
-        "plausibility": _plausibility_to_spec(fn),
-        "conditioned_on": list(model.frame.state.event.counts),
+        "plausibility": _plausibility_to_spec(model.fn),
+        "conditioned_on": list(model.event.counts),
     }
 
 
@@ -195,7 +169,7 @@ def load_model(path) -> Model:
         return model_from_dict(json.load(fh))
 
 
-def save_model(path, model: Model, fn: PlausibilityFn) -> None:
+def save_model(path, model: Model) -> None:
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model, fn), fh, sort_keys=True, indent=1)
+        json.dump(model_to_dict(model), fh, sort_keys=True, indent=1)
         fh.write("\n")

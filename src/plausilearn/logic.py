@@ -53,12 +53,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .doxastic import Model, make_model, update_proposition, update_sampling
+from .doxastic import update_proposition, update_sampling
 from .plausibility import (
+    Model,
     _INT64_MAX,
     _argmax_mask,
     _tie_mask,
     condition,
+    init_state,
     tabulated,
 )
 from .simplex import (
@@ -406,6 +408,8 @@ class _Parser:
                 den = self.cur
                 if den.kind != "int":
                     raise ParseError("expected denominator", den.pos, {"INT"})
+                if int(den.text) == 0:
+                    raise ParseError("zero denominator", den.pos)
                 self.advance()
                 value = Fraction(value, int(den.text))
         else:
@@ -550,22 +554,23 @@ def _members(bits: int, n: int) -> list[int]:
     return np.flatnonzero(_mask(bits, n)).tolist()
 
 
-def _decide_atom(state, alphabet, terms, bound: Fraction) -> np.ndarray:
+def _decide_atom(model: Model, terms, bound: Fraction) -> np.ndarray:
     """Mask of the worlds where the sum of the terms is at least `bound`.
 
     Both sides are multiplied by the least common denominator of the
-    coefficients and by the state's weight denominator: the sum becomes
+    coefficients and by the model's weight denominator: the sum becomes
     one integer dot product with the weight numerators, and the bound can
     be rounded up to an integer."""
     scale = math.lcm(*(coeff.denominator for coeff, _ in terms))
+    alphabet = model.alphabet
     coefficients = [0] * alphabet.size
     for coeff, name in terms:
         coefficients[alphabet.index(name)] += scale // coeff.denominator * coeff.numerator
-    threshold = -(-bound.numerator * scale * state.denominator // bound.denominator)
-    largest = max(sum(map(abs, coefficients)) * state.denominator, abs(threshold))
-    fits = state.numerators.dtype != object and largest <= _INT64_MAX
+    threshold = -(-bound.numerator * scale * model.denominator // bound.denominator)
+    largest = max(sum(map(abs, coefficients)) * model.denominator, abs(threshold))
+    fits = model.numerators.dtype != object and largest <= _INT64_MAX
     dtype = np.int64 if fits else object
-    weights = state.numerators.astype(dtype, copy=False)
+    weights = model.numerators.astype(dtype, copy=False)
     return weights @ np.array(coefficients, dtype=dtype) >= threshold
 
 
@@ -622,7 +627,7 @@ class _Evaluator:
         if kind is Top:
             return everything
         if kind is LinIneq:
-            return _bits(_decide_atom(model.frame.state, model.alphabet, *args))
+            return _bits(_decide_atom(model, *args))
         if kind is Not:
             return everything ^ self.label(handle, args[0])
         if kind is And:
@@ -636,14 +641,13 @@ class _Evaluator:
             # vacuously true when there are none.
             cond = self.label(handle, args[1])
             if cond:
-                values = model.frame.state.log_values
-                best = _bits(_argmax_mask(values, _mask(cond, n)))
+                best = _bits(_argmax_mask(model.log_values, _mask(cond, n)))
                 if best & ~self.label(handle, args[0]):
                     return 0
             return everything
         if kind is BelObs:
             event = observe(model.alphabet, args[1])
-            best = _bits(_tie_mask(condition(model.frame.state, event).log_values))
+            best = _bits(_tie_mask(condition(model, event).log_values))
             return 0 if best & ~self.label(handle, args[0]) else everything
         if kind is DynObs:
             counts = observe(model.alphabet, args[1]).counts
@@ -696,7 +700,10 @@ def _world_index(model: Model, world) -> int:
         if not 0 <= world < len(model.worlds):
             raise KeyError(f"world index {world} out of range")
         return world
-    return model.frame.world_index(world)
+    try:
+        return model.worlds.index(world)
+    except ValueError:
+        raise KeyError(f"world {world} not in model") from None
 
 
 def satisfies(model: Model, world, f: Formula, *, skip_relativization=False) -> bool:
@@ -810,7 +817,7 @@ def random_model(rng: random.Random, alphabets=DEFAULT_ALPHABETS, max_worlds=10)
     values = [rng.uniform(0.05, 10.0) for _ in worlds]
     if rng.random() < 0.1:
         values[rng.randrange(len(values))] = 0.0
-    model = make_model(worlds, tabulated(values))
+    model = init_state(worlds, tabulated(values))
     if rng.random() < 0.3:
         counts = tuple(rng.randint(0, 3) for _ in alphabet.names)
         model = update_sampling(model, ObservationEvent(alphabet, counts))

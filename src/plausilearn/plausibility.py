@@ -1,19 +1,20 @@
-"""Plausibility maps over candidate distributions and likelihood conditioning.
+"""Plausibility maps over candidate distributions, and the model type.
 
-A plausibility state assigns each world a non-negative plausibility, stored
+A model is a set of candidate distributions (worlds) together with the
+plausibility function that ranks them.  It stores each world's plausibility
 as a natural log (with -inf for plausibility 0).  Conditioning on sampling
 evidence multiplies each world's plausibility by the likelihood it assigns
 the evidence; in the log domain this is addition, so repeated conditioning
 cannot underflow.
 
-To make conditioning order-independent bit-for-bit, a state keeps its base
+To make conditioning order-independent bit-for-bit, a model keeps its base
 log-plausibilities together with the accumulated evidence counts and
 recomputes the current values from those; integer count addition is exactly
 commutative, so any conditioning order yields identical floats.  One kernel
 does that recomputation for one count vector (`condition`) or for a block of
 them at once (the settling simulator), in the same float order.
 
-A state also holds its world weights exactly, as integer numerators over one
+A model also holds its world weights exactly, as integer numerators over one
 common denominator, so that the model checker can decide linear atoms by
 integer dot products.
 """
@@ -30,6 +31,7 @@ from .simplex import (
     AlphabetMismatchError,
     MassFunction,
     ObservationEvent,
+    OutcomeAlphabet,
     Proposition,
     empty_event,
     event_concat,
@@ -111,18 +113,20 @@ def tabulated(values) -> PlausibilityFn:
 
 
 @dataclass(frozen=True)
-class PlausibilityState:
-    """Log-domain plausibilities for the worlds of a frame.
+class Model:
+    """A probabilistic plausibility model: worlds ranked by the plausibility
+    function `fn`, in the log domain.
 
-    `base_log` holds ln(pla(world)) for the initial plausibility function;
-    `event` is the accumulated sampling evidence; `log_weights` is the
-    worlds x outcomes matrix of ln(world weight).  `log_values` is always
-    base_log + log-likelihood(world, event), recomputed on conditioning.
-    `numerators` is the worlds x outcomes matrix of world weights times
-    `denominator`, exact: int64 when every entry fits, Python ints otherwise.
+    `base_log` holds ln(fn(world)); `event` is the accumulated sampling
+    evidence; `log_weights` is the worlds x outcomes matrix of ln(world
+    weight).  `log_values` is always base_log + log-likelihood(world, event),
+    recomputed on conditioning.  `numerators` is the worlds x outcomes matrix
+    of world weights times `denominator`, exact: int64 when every entry fits,
+    Python ints otherwise.  Build one with `init_state`.
     """
 
     worlds: tuple[MassFunction, ...]
+    fn: PlausibilityFn
     base_log: np.ndarray
     event: ObservationEvent
     log_values: np.ndarray = field(repr=False)
@@ -130,11 +134,14 @@ class PlausibilityState:
     numerators: np.ndarray = field(repr=False)
     denominator: int
 
+    @property
+    def alphabet(self) -> OutcomeAlphabet:
+        """The outcome alphabet; each outcome's valuation is its cylinder
+        event, which the i.i.d. assumption makes position-free."""
+        return self.event.alphabet
+
     def __len__(self) -> int:
         return len(self.worlds)
-
-    def plausibility(self, index: int) -> float:
-        return math.exp(self.log_values[index])
 
 
 # The kernel and the tie test are private so that a caller's time in them is
@@ -189,8 +196,8 @@ def _argmax_mask(
     return best
 
 
-def init_state(worlds, fn: PlausibilityFn) -> PlausibilityState:
-    """Initial plausibility state for a world set under `fn`."""
+def init_state(worlds, fn: PlausibilityFn) -> Model:
+    """The model of a world set under `fn`, before any evidence."""
     worlds = tuple(worlds)
     if not worlds:
         raise EmptyWorldSetError("world set must be non-empty")
@@ -214,61 +221,63 @@ def init_state(worlds, fn: PlausibilityFn) -> PlausibilityState:
         [n * (denominator // d) for n, d in ratios],
         dtype=np.int64 if denominator <= _INT64_MAX else object,
     ).reshape(shape)
-    return PlausibilityState(
-        worlds, base, empty_event(alphabet), base.copy(), log_weights,
+    return Model(
+        worlds, fn, base, empty_event(alphabet), base.copy(), log_weights,
         numerators, denominator,
     )
 
 
-def condition(state: PlausibilityState, e: ObservationEvent) -> PlausibilityState:
+def condition(model: Model, e: ObservationEvent) -> Model:
     """Reweight every world by the likelihood it assigns the evidence `e`.
 
-    Returns a fresh state; the input is unchanged.  Conditioning on e then
+    Returns a fresh model; the input is unchanged.  Conditioning on e then
     e' equals conditioning on their combined counts, bit-for-bit.
     """
-    if e.alphabet != state.event.alphabet:
-        raise AlphabetMismatchError("event alphabet differs from state")
-    combined = event_concat(state.event, e)
-    values = _log_plausibilities(state.base_log, state.log_weights, combined.counts)
-    return replace(state, event=combined, log_values=values)
+    if e.alphabet != model.alphabet:
+        raise AlphabetMismatchError("event alphabet differs from model")
+    combined = event_concat(model.event, e)
+    values = _log_plausibilities(model.base_log, model.log_weights, combined.counts)
+    return replace(model, event=combined, log_values=values)
 
 
-def argmax_worlds(
-    state: PlausibilityState, tolerance: float = TIE_TOLERANCE
-) -> Proposition:
+def argmax_worlds(model: Model, tolerance: float = TIE_TOLERANCE) -> Proposition:
     """All worlds whose plausibility ties the maximum.
 
     When every world has plausibility 0, all worlds are returned: the
-    belief quantifier then ranges over the whole frame.
+    belief quantifier then ranges over the whole model.
     """
-    mask = _tie_mask(state.log_values, tolerance)
+    mask = _tie_mask(model.log_values, tolerance)
     return Proposition.of(np.flatnonzero(mask).tolist())
 
 
 def argmax_restricted(
-    state: PlausibilityState,
-    restriction: Proposition,
-    tolerance: float = TIE_TOLERANCE,
+    model: Model, restriction: Proposition, tolerance: float = TIE_TOLERANCE
 ) -> Proposition:
-    """Argmax of the state among the worlds in `restriction` only."""
-    within = np.zeros(len(state), dtype=bool)
+    """Argmax of the model among the worlds in `restriction` only."""
+    within = np.zeros(len(model), dtype=bool)
     within[list(restriction.members)] = True
-    best = _argmax_mask(state.log_values, within, tolerance)
+    best = _argmax_mask(model.log_values, within, tolerance)
     return Proposition.of(np.flatnonzero(best).tolist())
 
 
-def restrict_state(state: PlausibilityState, keep: Proposition) -> PlausibilityState:
-    """State over the sub-world-set `keep`, values carried over unchanged."""
+def restrict_state(model: Model, keep: Proposition) -> Model:
+    """Model over the sub-world-set `keep`, values carried over unchanged.
+
+    A tabulated plausibility is renumbered along with the worlds, so the
+    restricted model's `fn` still gives each of its worlds its value."""
     members = sorted(keep.members)
     if not members:
         raise EmptyWorldSetError("cannot restrict to an empty world set")
-    worlds = tuple(state.worlds[i] for i in members)
-    return PlausibilityState(
-        worlds,
-        state.base_log[members],
-        state.event,
-        state.log_values[members],
-        state.log_weights[members],
-        state.numerators[members],
-        state.denominator,
+    fn = model.fn
+    if fn.kind == "tabulated":
+        fn = tabulated([fn.table[i] for i in members])
+    return Model(
+        tuple(model.worlds[i] for i in members),
+        fn,
+        model.base_log[members],
+        model.event,
+        model.log_values[members],
+        model.log_weights[members],
+        model.numerators[members],
+        model.denominator,
     )

@@ -87,9 +87,6 @@ class MassFunction:
     def weight(self, name: str) -> Fraction:
         return self.weights[self.alphabet.index(name)]
 
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
-
     def log_weights(self) -> np.ndarray:
         """Natural-log weights; zero weight maps to -inf."""
         return np.array(
@@ -162,7 +159,7 @@ def euclidean_distance(mu: MassFunction, nu: MassFunction) -> float:
 
 @dataclass(frozen=True)
 class Proposition:
-    """A set of worlds, given as indices into a frame's world list."""
+    """A set of worlds, given as indices into a model's world list."""
 
     members: frozenset[int]
 
@@ -301,22 +298,3 @@ def sample_stream(truth: MassFunction, length: int, seed: int) -> ObservationStr
     outcomes = tuple(positive[int(d)] for d in draws)
     return ObservationStream(truth.alphabet, outcomes, seed)
 
-
-def worlds_to_json(alphabet: OutcomeAlphabet, worlds: list[MassFunction]) -> dict:
-    """World-set JSON payload with rationals as [numerator, denominator]."""
-    return {
-        "alphabet": list(alphabet.names),
-        "worlds": [
-            [[w.numerator, w.denominator] for w in world.weights]
-            for world in worlds
-        ],
-    }
-
-
-def worlds_from_json(payload: dict) -> tuple[OutcomeAlphabet, list[MassFunction]]:
-    alphabet = make_alphabet(payload["alphabet"])
-    worlds = [
-        mass_function(alphabet, [Fraction(num, den) for num, den in vec])
-        for vec in payload["worlds"]
-    ]
-    return alphabet, worlds

@@ -21,7 +21,6 @@ from plausilearn import (
     init_state,
     knowledge_holds,
     make_alphabet,
-    make_frame,
     mass_function,
     observe,
     parse,
@@ -96,14 +95,14 @@ def test_criterion_2_initial_belief():
     outcomes = []
     for resolution in (2, 4, 10, 20):
         grid = simplex_grid(coin, resolution)
-        frame = make_frame(grid, ENTROPY)
+        model = init_state(grid, ENTROPY)
         outcomes.append(
-            belief_holds(frame, Proposition.of([grid.index(fair)]))
+            belief_holds(model, Proposition.of([grid.index(fair)]))
         )
     grid = simplex_grid(coin, 10)
-    frame = make_frame(grid, ENTROPY)
+    model = init_state(grid, ENTROPY)
     target = Proposition.of([grid.index(fair)])
-    elapsed = best_of_three(lambda: belief_holds(frame, target))
+    elapsed = best_of_three(lambda: belief_holds(model, target))
     report(
         2,
         all(outcomes) and elapsed < 1e-3,
@@ -331,7 +330,7 @@ def test_criterion_10_update_contract():
         ] or [0]
         announced = update_proposition(model, Proposition.of(members))
         survivors = Proposition.of(range(len(announced.worlds)))
-        if not knowledge_holds(announced.frame, survivors):
+        if not knowledge_holds(announced, survivors):
             ok = False
         if [announced.worlds[i] for i in range(len(members))] != [
             model.worlds[i] for i in members

@@ -272,9 +272,32 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_uses_the_file_plausibility(self, tmp_path, capsys):
+        path = tmp_path / "com.json"
+        argv = ["grid", "--alphabet", "H,T", "--resolution", "10"]
+        assert run(argv + ["--plausibility", "centre_of_mass", "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["simulate", "--model", str(path), "--truth", "7/10,3/10",
+                    "--horizon", "50", "--trials", "10", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        coin = plausilearn.make_alphabet(["H", "T"])
+        truth = plausilearn.mass_function(coin, ["7/10", "3/10"])
+
+        def summary(fn):
+            cfg = plausilearn.TrialConfig(
+                worlds=tuple(plausilearn.simplex_grid(coin, 10)), plausibility=fn,
+                truth=truth, horizon=50, seed=1,
+            )
+            result = plausilearn.run_experiment(cfg, 10, 1).to_dict()
+            return json.dumps(result, sort_keys=True, indent=1) + "\n"
+
+        assert out == summary(plausilearn.CENTRE_OF_MASS)
+        assert out != summary(plausilearn.ENTROPY)
+
 
 class TestBadNumbers:
-    """Out-of-range numeric options exit 2 with a one-line message."""
+    """Out-of-range numeric options and other bad input exit 2 with a
+    one-line message."""
 
     def assert_usage_error(self, argv, capsys):
         assert run(argv) == 2
@@ -282,6 +305,7 @@ class TestBadNumbers:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        return captured.err
 
     def test_simulate_eps_zero(self, model_path, capsys):
         self.assert_usage_error(
@@ -304,6 +328,60 @@ class TestBadNumbers:
 
     def test_axioms_trials_zero(self, capsys):
         self.assert_usage_error(["axioms", "--trials", "0"], capsys)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--alphabet", "H"],
+            ["--alphabet", "H,H"],
+            ["--alphabet", "H,T", "--condition", "H X"],
+            ["--alphabet", "H,T", "-o", "/nonexistent/x.json"],
+        ],
+        ids=["one_outcome", "duplicate_outcome", "unknown_condition", "bad_output"],
+    )
+    def test_grid_bad_input(self, extra, capsys):
+        self.assert_usage_error(["grid", "--resolution", "2"] + extra, capsys)
+
+    def test_simulate_unwritable_trace(self, model_path, capsys):
+        self.assert_usage_error(
+            ["simulate", "--model", str(model_path), "--truth", "7/10,3/10",
+             "--horizon", "10", "--trials", "1", "--trace", "/nonexistent/t.csv"],
+            capsys,
+        )
+
+    def test_check_zero_denominator(self, model_path, capsys):
+        err = self.assert_usage_error(
+            ["check", "--model", str(model_path), "--formula", "w(H) >= 1/0"],
+            capsys,
+        )
+        assert "bad formula" in err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"worlds": [[1, 0], [0, 1]]},
+            {"worlds": [[[1, 0], [1, 1]]]},
+            {"grid_resolution": 2},
+            {"alphabet": "HT"},
+            {"plausability": "centre_of_mass"},
+        ],
+        ids=["bare_numbers", "zero_denominator", "worlds_and_grid_resolution",
+             "string_alphabet", "unknown_key"],
+    )
+    def test_bad_model_file(self, model_path, change, capsys):
+        model_path.write_text(json.dumps(json.loads(model_path.read_text()) | change))
+        err = self.assert_usage_error(
+            ["check", "--model", str(model_path), "--formula", "T"], capsys
+        )
+        assert str(model_path) in err
+
+    def test_model_file_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]\n")
+        err = self.assert_usage_error(
+            ["check", "--model", str(path), "--formula", "T"], capsys
+        )
+        assert str(path) in err
 
 
 def test_import_leaves_scipy_out():

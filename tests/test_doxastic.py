@@ -11,9 +11,8 @@ from plausilearn import (
     belief_holds,
     conditional_belief_event,
     conditional_belief_prop,
+    init_state,
     knowledge_holds,
-    make_frame,
-    make_model,
     mass_function,
     model_from_dict,
     model_to_dict,
@@ -29,8 +28,8 @@ from plausilearn.plausibility import entropy_plausibility
 from plausilearn.simplex import ObservationEvent, Proposition
 
 
-def entropy_frame(grid):
-    return make_frame(grid, ENTROPY)
+def entropy_model(grid):
+    return init_state(grid, ENTROPY)
 
 
 def prop_where(worlds, predicate):
@@ -39,54 +38,54 @@ def prop_where(worlds, predicate):
 
 class TestKnowledge:
     def test_tautology_known(self, coin_grid):
-        frame = entropy_frame(coin_grid)
-        assert knowledge_holds(frame, Proposition.of(range(11)))
+        model = entropy_model(coin_grid)
+        assert knowledge_holds(model, Proposition.of(range(11)))
 
     def test_empty_not_known(self, coin_grid):
-        frame = entropy_frame(coin_grid)
-        assert not knowledge_holds(frame, Proposition.of([]))
+        model = entropy_model(coin_grid)
+        assert not knowledge_holds(model, Proposition.of([]))
 
     def test_lower_bound_not_known_on_full_grid(self, coin_grid):
-        frame = entropy_frame(coin_grid)
+        model = entropy_model(coin_grid)
         p = prop_where(coin_grid, lambda w: w.weight("H") >= Fraction(3, 10))
-        assert not knowledge_holds(frame, p)  # (0, 1) violates it
+        assert not knowledge_holds(model, p)  # (0, 1) violates it
 
 
 class TestBelief:
     def test_initial_belief_in_fair_coin(self, coin_grid, fair_coin):
-        frame = entropy_frame(coin_grid)
+        model = entropy_model(coin_grid)
         assert belief_holds(
-            frame, Proposition.of([coin_grid.index(fair_coin)])
+            model, Proposition.of([coin_grid.index(fair_coin)])
         )
 
     def test_tautology_always_believed(self, coin_grid):
-        frame = entropy_frame(coin_grid)
-        assert belief_holds(frame, Proposition.of(range(11)))
+        model = entropy_model(coin_grid)
+        assert belief_holds(model, Proposition.of(range(11)))
 
     def test_biased_world_not_believed(self, coin, coin_grid):
-        frame = entropy_frame(coin_grid)
+        model = entropy_model(coin_grid)
         biased = mass_function(coin, [Fraction(3, 5), Fraction(2, 5)])
         assert not belief_holds(
-            frame, Proposition.of([coin_grid.index(biased)])
+            model, Proposition.of([coin_grid.index(biased)])
         )
 
 
 class TestConditionalBeliefEvent:
     def test_empty_event_equals_plain_belief(self, coin, coin_grid):
-        frame = entropy_frame(coin_grid)
+        model = entropy_model(coin_grid)
         empty = observe(coin, [])
         for size in (1, 5, 11):
             p = Proposition.of(range(size))
-            assert conditional_belief_event(frame, p, empty) == belief_holds(
-                frame, p
+            assert conditional_belief_event(model, p, empty) == belief_holds(
+                model, p
             )
 
     def test_heads_run_shifts_belief_up(self, coin):
         grid = simplex_grid(coin, 20)
-        frame = entropy_frame(grid)
+        model = entropy_model(grid)
         e = observe(coin, ["H", "H", "H"])
         above_half = prop_where(grid, lambda w: w.weight("H") > Fraction(1, 2))
-        assert conditional_belief_event(frame, above_half, e)
+        assert conditional_belief_event(model, above_half, e)
         # oracle: best entropy-times-likelihood score lands above 1/2
         scores = [
             entropy_plausibility(g) * float(g.weight("H")) ** 3 for g in grid
@@ -94,45 +93,45 @@ class TestConditionalBeliefEvent:
         assert grid[scores.index(max(scores))].weight("H") > Fraction(1, 2)
 
     def test_fair_coin_dethroned(self, coin, coin_grid, fair_coin):
-        frame = entropy_frame(coin_grid)
+        model = entropy_model(coin_grid)
         e = observe(coin, ["H", "H", "H"])
         eq = Proposition.of([coin_grid.index(fair_coin)])
-        assert belief_holds(frame, eq)
-        assert not conditional_belief_event(frame, eq, e)
+        assert belief_holds(model, eq)
+        assert not conditional_belief_event(model, eq, e)
 
     def test_frame_not_mutated(self, coin, coin_grid):
-        frame = entropy_frame(coin_grid)
-        before = frame.state.log_values.copy()
+        model = entropy_model(coin_grid)
+        before = model.log_values.copy()
         conditional_belief_event(
-            frame, Proposition.of(range(11)), observe(coin, ["H"] * 10)
+            model, Proposition.of(range(11)), observe(coin, ["H"] * 10)
         )
-        assert np.array_equal(frame.state.log_values, before)
+        assert np.array_equal(model.log_values, before)
 
 
 class TestConditionalBeliefProp:
     def test_full_condition_equals_plain_belief(self, coin_grid):
-        frame = entropy_frame(coin_grid)
+        model = entropy_model(coin_grid)
         everything = Proposition.of(range(11))
         for size in (1, 4, 11):
             p = Proposition.of(range(size))
-            assert conditional_belief_prop(frame, p, everything) == belief_holds(
-                frame, p
+            assert conditional_belief_prop(model, p, everything) == belief_holds(
+                model, p
             )
 
     def test_reflexivity(self, coin_grid):
-        frame = entropy_frame(coin_grid)
+        model = entropy_model(coin_grid)
         q = Proposition.of([2, 5, 8])
-        assert conditional_belief_prop(frame, q, q)
+        assert conditional_belief_prop(model, q, q)
 
     def test_belief_given_strong_bias(self, coin, coin_grid):
-        frame = entropy_frame(coin_grid)
+        model = entropy_model(coin_grid)
         q = prop_where(coin_grid, lambda w: w.weight("H") >= Fraction(7, 10))
         p = prop_where(coin_grid, lambda w: w.weight("H") == Fraction(7, 10))
-        assert conditional_belief_prop(frame, p, q)
+        assert conditional_belief_prop(model, p, q)
 
     def test_empty_condition_vacuous(self, coin_grid):
-        frame = entropy_frame(coin_grid)
-        assert conditional_belief_prop(frame, Proposition.of([]), Proposition.of([]))
+        model = entropy_model(coin_grid)
+        assert conditional_belief_prop(model, Proposition.of([]), Proposition.of([]))
 
     def test_consistency_when_condition_nonempty(self):
         rng = random.Random(11)
@@ -145,30 +144,30 @@ class TestConditionalBeliefProp:
             p = Proposition.of(
                 i for i in range(n) if rng.random() < 0.5
             )
-            if q.members and conditional_belief_prop(model.frame, p, q):
+            if q.members and conditional_belief_prop(model, p, q):
                 assert p.members & q.members
 
 
 class TestUpdates:
     def test_sampling_empty_event_keeps_beliefs(self, coin, coin_grid):
-        model = make_model(coin_grid, ENTROPY)
+        model = init_state(coin_grid, ENTROPY)
         updated = update_sampling(model, observe(coin, []))
         assert updated.worlds == model.worlds
         assert np.array_equal(
-            updated.frame.state.log_values, model.frame.state.log_values
+            updated.log_values, model.log_values
         )
 
     def test_sampling_composes(self, coin, coin_grid):
-        model = make_model(coin_grid, ENTROPY)
+        model = init_state(coin_grid, ENTROPY)
         e1, e2 = observe(coin, ["H", "H"]), observe(coin, ["T"])
         stepwise = update_sampling(update_sampling(model, e1), e2)
         batch = update_sampling(model, ObservationEvent(coin, (2, 1)))
         assert np.array_equal(
-            stepwise.frame.state.log_values, batch.frame.state.log_values
+            stepwise.log_values, batch.log_values
         )
 
     def test_long_heads_run_concentrates_belief(self, coin, coin_grid):
-        model = make_model(coin_grid, ENTROPY)
+        model = init_state(coin_grid, ENTROPY)
         updated = update_sampling(model, ObservationEvent(coin, (30, 10)))
         # oracle: direct argmax of entropy * likelihood over the grid
         scores = [
@@ -181,39 +180,39 @@ class TestUpdates:
         assert {
             i
             for i in range(11)
-            if belief_holds(updated.frame, Proposition.of([i]))
+            if belief_holds(updated, Proposition.of([i]))
         } == best
         assert coin_grid[next(iter(best))].weight("H") == Fraction(7, 10)
 
     def test_proposition_full_set_is_identity(self, coin_grid):
-        model = make_model(coin_grid, ENTROPY)
+        model = init_state(coin_grid, ENTROPY)
         updated = update_proposition(model, Proposition.of(range(11)))
         assert updated.worlds == model.worlds
 
     def test_tails_bias_announcement(self, coin, coin_grid):
-        model = make_model(coin_grid, ENTROPY)
+        model = init_state(coin_grid, ENTROPY)
         p = prop_where(coin_grid, lambda w: w.weight("T") > w.weight("H"))
         updated = update_proposition(model, p)
         # belief focuses on the surviving world closest to fair from below
         best = Proposition.of(
             [updated.worlds.index(mass_function(coin, [Fraction(4, 10), Fraction(6, 10)]))]
         )
-        assert belief_holds(updated.frame, best)
+        assert belief_holds(updated, best)
 
     def test_empty_update_rejected(self, coin_grid):
-        model = make_model(coin_grid, ENTROPY)
+        model = init_state(coin_grid, ENTROPY)
         with pytest.raises(EmptyUpdateError):
             update_proposition(model, Proposition.of([]))
 
     def test_updates_commute(self, coin, coin_grid):
-        model = make_model(coin_grid, ENTROPY)
+        model = init_state(coin_grid, ENTROPY)
         e = ObservationEvent(coin, (4, 1))
         p = Proposition.of(range(3, 9))
         a = update_proposition(update_sampling(model, e), p)
         b = update_sampling(update_proposition(model, p), e)
         assert a.worlds == b.worlds
         assert np.array_equal(
-            a.frame.state.log_values, b.frame.state.log_values
+            a.log_values, b.log_values
         )
 
 
@@ -229,22 +228,21 @@ class TestRandomModelLaws:
         rng = random.Random(23)
         for _ in range(200):
             model = random_model(rng)
-            frame = model.frame
             n = len(model.worlds)
             p, q = self.random_props(rng, n)
             everything = Proposition.of(range(n))
             complement = Proposition.of(everything.members - p.members)
             implication = Proposition.of(complement.members | q.members)
             # K: distribution + entails belief
-            if knowledge_holds(frame, p):
-                assert belief_holds(frame, p)
+            if knowledge_holds(model, p):
+                assert belief_holds(model, p)
             # D: no belief in both a proposition and its complement
             assert not (
-                belief_holds(frame, p) and belief_holds(frame, complement)
+                belief_holds(model, p) and belief_holds(model, complement)
             )
             # K-axiom for B: B(p -> q) and B(p) give B(q)
-            if belief_holds(frame, implication) and belief_holds(frame, p):
-                assert belief_holds(frame, q)
+            if belief_holds(model, implication) and belief_holds(model, p):
+                assert belief_holds(model, q)
 
     def test_sampling_preserves_knowledge(self):
         rng = random.Random(29)
@@ -257,8 +255,8 @@ class TestRandomModelLaws:
             )
             assert updated.worlds == model.worlds
             p, _ = self.random_props(rng, n)
-            assert knowledge_holds(model.frame, p) == knowledge_holds(
-                updated.frame, p
+            assert knowledge_holds(model, p) == knowledge_holds(
+                updated, p
             )
 
     def test_propositional_update_success(self):
@@ -272,18 +270,18 @@ class TestRandomModelLaws:
             p = Proposition.of(members)
             updated = update_proposition(model, p)
             full = Proposition.of(range(len(updated.worlds)))
-            assert knowledge_holds(updated.frame, full)
+            assert knowledge_holds(updated, full)
             assert len(updated.worlds) == len(members)
 
 
 class TestModelJson:
     def test_roundtrip_worlds(self, coin_grid):
-        model = make_model(coin_grid, ENTROPY)
-        payload = model_to_dict(model, ENTROPY)
+        model = init_state(coin_grid, ENTROPY)
+        payload = model_to_dict(model)
         restored = model_from_dict(payload)
         assert restored.worlds == model.worlds
         assert np.array_equal(
-            restored.frame.state.log_values, model.frame.state.log_values
+            restored.log_values, model.log_values
         )
 
     def test_grid_resolution_shorthand(self, coin):
@@ -297,13 +295,13 @@ class TestModelJson:
 
     def test_conditioned_on_restored(self, coin, coin_grid):
         model = update_sampling(
-            make_model(coin_grid, ENTROPY), ObservationEvent(coin, (3, 1))
+            init_state(coin_grid, ENTROPY), ObservationEvent(coin, (3, 1))
         )
-        payload = model_to_dict(model, ENTROPY)
+        payload = model_to_dict(model)
         assert payload["conditioned_on"] == [3, 1]
         restored = model_from_dict(payload)
         assert np.array_equal(
-            restored.frame.state.log_values, model.frame.state.log_values
+            restored.log_values, model.log_values
         )
 
     def test_tabulated_plausibility(self, coin):
@@ -313,4 +311,48 @@ class TestModelJson:
             "plausibility": {"table": {"0": 1.0, "1": 2.0, "2": 0.5}},
         }
         model = model_from_dict(payload)
-        assert math.exp(model.frame.state.log_values[1]) == pytest.approx(2.0)
+        assert math.exp(model.log_values[1]) == pytest.approx(2.0)
+
+    def test_roundtrip(self, coin, coin_grid):
+        restored = model_from_dict(model_to_dict(init_state(coin_grid, ENTROPY)))
+        assert restored.alphabet == coin
+        assert list(restored.worlds) == coin_grid
+
+    def test_schema_shape(self, fair_coin):
+        payload = model_to_dict(init_state([fair_coin], ENTROPY))
+        assert payload == {
+            "alphabet": ["H", "T"],
+            "worlds": [[[1, 2], [1, 2]]],
+            "plausibility": "entropy",
+            "conditioned_on": [0, 0],
+        }
+
+    def test_restricted_tabulated_roundtrip(self, coin):
+        model = init_state(simplex_grid(coin, 2), tabulated([1.0, 2.0, 3.0]))
+        restricted = update_proposition(model, Proposition.of([1, 2]))
+        restored = model_from_dict(model_to_dict(restricted))
+        assert np.array_equal(restored.log_values, restricted.log_values)
+        assert restricted.log_values.tolist() == [math.log(2.0), math.log(3.0)]
+        rng = random.Random(37)
+        for _ in range(100):
+            model = random_model(rng)
+            n = len(model.worlds)
+            keep = [i for i in range(n) if rng.random() < 0.6] or [n - 1]
+            restricted = update_proposition(model, Proposition.of(keep))
+            restored = model_from_dict(model_to_dict(restricted))
+            assert restored.worlds == restricted.worlds
+            assert np.array_equal(restored.log_values, restricted.log_values)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"grid_resolution": 2},
+            {"alphabet": "HT"},
+            {"plausability": "centre_of_mass"},
+        ],
+        ids=["worlds_and_grid_resolution", "string_alphabet", "unknown_key"],
+    )
+    def test_misread_fields_rejected(self, coin_grid, change):
+        payload = model_to_dict(init_state(coin_grid, ENTROPY)) | change
+        with pytest.raises(ValueError):
+            model_from_dict(payload)

@@ -10,7 +10,7 @@ from plausilearn import (
     axiom_suite,
     check,
     extension,
-    make_model,
+    init_state,
     parse,
     print_formula,
     satisfies,
@@ -200,7 +200,7 @@ class TestPrinter:
 
 class TestSemantics:
     def entropy_model(self, alphabet, resolution):
-        return make_model(simplex_grid(alphabet, resolution), ENTROPY)
+        return init_state(simplex_grid(alphabet, resolution), ENTROPY)
 
     def test_extension_of_lin(self, coin):
         model = self.entropy_model(coin, 10)
@@ -296,7 +296,7 @@ def mixed_denominator_model(alphabet, rng):
             weights.append(Fraction(rng.randint(0, int(left * den)), den))
             left -= weights[-1]
         worlds.add(mass_function(alphabet, weights + [left]))
-    return make_model(sorted(worlds, key=str), tabulated([1.0] * len(worlds)))
+    return init_state(sorted(worlds, key=str), tabulated([1.0] * len(worlds)))
 
 
 def atom_text(terms, bound: Fraction) -> str:
@@ -336,7 +336,7 @@ class TestIntegerAtoms:
         urn = make_alphabet(["R", "B", "G"])
         rng = random.Random(seed)
         model = (
-            make_model(simplex_grid(urn, 12), ENTROPY)
+            init_state(simplex_grid(urn, 12), ENTROPY)
             if grid
             else mixed_denominator_model(urn, rng)
         )
@@ -355,9 +355,9 @@ class TestIntegerAtoms:
             assert at in got
 
     def test_grid_weights_are_int64(self, urn):
-        state = make_model(simplex_grid(urn, 60), ENTROPY).frame.state
-        assert state.numerators.dtype == np.int64
-        assert state.denominator == 60
+        model = init_state(simplex_grid(urn, 60), ENTROPY)
+        assert model.numerators.dtype == np.int64
+        assert model.denominator == 60
 
     def test_huge_denominator_takes_python_ints(self, coin):
         tiny = Fraction(1, 2**70)
@@ -366,15 +366,15 @@ class TestIntegerAtoms:
             mass_function(coin, [Fraction(1, 2), Fraction(1, 2)]),
             mass_function(coin, [Fraction(1, 3), Fraction(2, 3)]),
         ]
-        model = make_model(worlds, ENTROPY)
-        assert model.frame.state.numerators.dtype == object
+        model = init_state(worlds, ENTROPY)
+        assert model.numerators.dtype == object
         for text in ["w(H) >= 1/2", f"w(H) - w(T) >= 2/{2**70}", "w(H) <= 1/2"]:
             atom = parse(text, coin)
             assert extension(model, atom).members == fraction_extension(model, atom)
         assert extension(model, parse("w(H) > 1/2", coin)).members == {0}
 
     def test_huge_coefficient_takes_python_ints(self, urn):
-        model = make_model(simplex_grid(urn, 60), ENTROPY)
+        model = init_state(simplex_grid(urn, 60), ENTROPY)
         big = 10**30
         atom = lin([(big, "R"), (-big, "B"), (1, "G")], Fraction(1, 60))
         got = extension(model, atom).members
@@ -387,7 +387,7 @@ class TestIntegerAtoms:
         monkeypatch.setattr(
             logic, "_decide_atom", lambda *args: decided.append(args) or kernel(*args)
         )
-        model = make_model(simplex_grid(urn, 6), ENTROPY)
+        model = init_state(simplex_grid(urn, 6), ENTROPY)
 
         def p():
             return And(

@@ -26,8 +26,6 @@ from plausilearn.simplex import (
     UnknownOutcomeError,
     WrongArityError,
     empty_event,
-    worlds_from_json,
-    worlds_to_json,
 )
 
 
@@ -307,14 +305,3 @@ class TestStreams:
         for c, w in zip(counts, mu.weights):
             assert abs(c / 20_000 - float(w)) < 0.02
 
-
-class TestWorldsJson:
-    def test_roundtrip(self, coin, coin_grid):
-        payload = worlds_to_json(coin, coin_grid)
-        alphabet, worlds = worlds_from_json(payload)
-        assert alphabet == coin
-        assert worlds == coin_grid
-
-    def test_schema_shape(self, coin, fair_coin):
-        payload = worlds_to_json(coin, [fair_coin])
-        assert payload == {"alphabet": ["H", "T"], "worlds": [[[1, 2], [1, 2]]]}
