@@ -103,6 +103,11 @@ def _plausibility_from_spec(spec) -> PlausibilityFn:
     raise ValueError(f"bad plausibility spec {spec!r}")
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; JSON true and false load as bools."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _plausibility_to_spec(fn: PlausibilityFn):
     if fn.kind == "tabulated":
         return {"table": {str(k): v for k, v in fn.table.items()}}
@@ -141,13 +146,28 @@ def model_from_dict(payload: dict) -> Model:
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in 'worlds': {exc}") from exc
     else:
-        worlds = simplex_grid(alphabet, int(payload["grid_resolution"]))
+        resolution = payload["grid_resolution"]
+        if not _is_int(resolution):
+            raise ValueError(f"'grid_resolution' must be an integer, not {resolution!r}")
+        worlds = simplex_grid(alphabet, resolution)
     fn = _plausibility_from_spec(payload.get("plausibility", "entropy"))
+    if fn.kind == "tabulated":
+        extra = sorted(fn.table.keys() - range(len(worlds)))
+        if extra:
+            raise ValueError(
+                f"plausibility table has keys {extra[:5]} beyond the "
+                f"{len(worlds)} worlds"
+            )
     model = init_state(worlds, fn)
     conditioned = payload.get("conditioned_on")
+    if conditioned is not None and not (
+        isinstance(conditioned, list) and all(map(_is_int, conditioned))
+    ):
+        raise ValueError(
+            f"'conditioned_on' must list integer counts, not {conditioned!r}"
+        )
     if conditioned:
-        event = ObservationEvent(alphabet, tuple(int(c) for c in conditioned))
-        model = update_sampling(model, event)
+        model = update_sampling(model, ObservationEvent(alphabet, tuple(conditioned)))
     return model
 
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -523,11 +523,13 @@ def print_formula(node: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Semantics
 #
-# A compiled formula is a list of hash-consed nodes, each a tuple of its
-# Formula class, the integer ids of its children and its payload.  A model
-# is an integer handle owned by the evaluator (the root is 0, each submodel
-# an update builds is appended), and an extension is an int bitset, bit i
-# standing for world i; both become objects only at the public boundary.
+# A compiled formula is a list of hash-consed nodes.  A node is a tuple of
+# its Formula class followed by the class's fields in declaration order,
+# each Formula field replaced by its child's integer node id: (And, l, r),
+# (DynObs, obs, body), (LinIneq, terms, bound).  A model is an integer handle
+# owned by the evaluator (the root is 0, each submodel an update builds is
+# appended), and an extension is an int bitset, bit i standing for world i;
+# both become objects only at the public boundary.
 
 
 @dataclass
@@ -582,33 +584,34 @@ class _Evaluator:
         self.skip_relativization = skip_relativization
         self.models = [model]  # handle -> model
         self.submodels: dict = {}  # (handle, update, counts or bitset) -> handle
-        self.nodes: list[tuple] = []  # node id -> (kind, *child ids, *payload)
+        self.nodes: list[tuple] = []  # node id -> (class, *fields)
         self.node_ids: dict = {}  # node -> node id
         self.labels: dict = {}  # (handle, node id) -> bitset
 
     def compile(self, f: Formula) -> int:
         """Node id of `f`; structurally equal formulas get the same id."""
-        kind = type(f)
-        if kind is Top:
-            node = (Top,)
-        elif kind is LinIneq:
-            node = (LinIneq, f.terms, f.bound)
-        elif kind is Not or kind is K:
-            node = (kind, self.compile(f.operand))
-        elif kind is And or kind is Or:
-            node = (kind, self.compile(f.left), self.compile(f.right))
-        elif kind is BelCond:
-            node = (BelCond, self.compile(f.body), self.compile(f.cond))
-        elif kind is BelObs or kind is DynObs:
-            node = (kind, self.compile(f.body), f.obs)
-        elif kind is DynAnn:
-            node = (DynAnn, self.compile(f.ann), self.compile(f.body))
-        else:
+        if not isinstance(f, Formula):
             raise TypeError(f"not a formula: {f!r}")
-        node_id = self.node_ids.get(node)
+        return self._node_id(f, {})
+
+    def _node_id(self, f: Formula, seen: dict) -> int:
+        """Node id of `f`, walking each distinct subformula object once (a
+        formula may share one object in many places).  `seen` maps the id()
+        of each subformula walked so far in this compile to its node id;
+        the formula being compiled keeps every one of them alive."""
+        node_id = seen.get(id(f))
         if node_id is None:
-            node_id = self.node_ids[node] = len(self.nodes)
-            self.nodes.append(node)
+            # A dataclass instance's __dict__ lists its fields in declaration
+            # order.
+            node = (type(f), *[
+                self._node_id(v, seen) if isinstance(v, Formula) else v
+                for v in vars(f).values()
+            ])
+            node_id = self.node_ids.get(node)
+            if node_id is None:
+                node_id = self.node_ids[node] = len(self.nodes)
+                self.nodes.append(node)
+            seen[id(f)] = node_id
         return node_id
 
     def label(self, handle: int, node_id: int) -> int:
@@ -650,10 +653,10 @@ class _Evaluator:
             best = _bits(_tie_mask(condition(model, event).log_values))
             return 0 if best & ~self.label(handle, args[0]) else everything
         if kind is DynObs:
-            counts = observe(model.alphabet, args[1]).counts
+            counts = observe(model.alphabet, args[0]).counts
             sub = self._submodel(handle, update_sampling, counts)
             # Sampling keeps the world set, so indices carry over.
-            return self.label(sub, args[0])
+            return self.label(sub, args[1])
         return self._announce(handle, args[0], args[1], n)
 
     def _submodel(self, handle: int, update, key) -> int:
@@ -719,28 +722,19 @@ def check(model: Model, world, f: Formula) -> CheckResult:
     ev = _Evaluator(model)
     root = ev.compile(f)
     verdict = bool(ev.label(0, root) >> index & 1)
-    # Compiled children come in the order of _immediate_subformulas; zip
-    # drops the cond T of a simple belief and the payload of the others.
-    children = ev.nodes[root][1:]
+    # The node lists the fields in order, Formula fields as child ids.
+    subs = [
+        (sub, child)
+        for sub, child in zip(vars(f).values(), ev.nodes[root][1:])
+        if isinstance(sub, Formula)
+    ]
+    if type(f) is BelCond and f.cond == TOP:
+        subs = subs[:1]  # a simple belief: its condition T is implicit
     trace = [
         (print_formula(sub), bool(ev.label(0, child) >> index & 1))
-        for sub, child in zip(_immediate_subformulas(f), children)
+        for sub, child in subs
     ]
     return CheckResult(verdict, index, trace)
-
-
-def _immediate_subformulas(f: Formula) -> list[Formula]:
-    if isinstance(f, (Not, K)):
-        return [f.operand]
-    if isinstance(f, (And, Or)):
-        return [f.left, f.right]
-    if isinstance(f, BelCond):
-        return [f.body] + ([] if f.cond == TOP else [f.cond])
-    if isinstance(f, (BelObs, DynObs)):
-        return [f.body]
-    if isinstance(f, DynAnn):
-        return [f.ann, f.body]
-    return []
 
 
 def extension(model: Model, f: Formula, *, skip_relativization=False) -> Proposition:
@@ -844,166 +838,65 @@ class ValidityReport:
         return not self.counterexamples
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "checked": self.checked,
-            "ok": self.ok,
-            "counterexamples": [
-                {
-                    "schema": c.schema,
-                    "formula": c.formula,
-                    "model_worlds": c.model_worlds,
-                    "failing_worlds": c.failing_worlds,
-                }
-                for c in self.counterexamples
-            ],
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
-def _schemas():
-    """Schema instantiators: name -> fn(rng, alphabet, depth) -> Formula."""
+#: The validity schemas: name -> (draws, builder).  Each letter of `draws`
+#: is one argument of the builder, drawn in that order: "f" a random formula,
+#: "a" a random atom, "o" a random outcome, "A" the alphabet's outcome names
+#: (which draws nothing).
+_SCHEMAS = {
+    "w_nonneg": ("o", lambda o: LinIneq(((Fraction(1), o),), Fraction(0))),
+    "w_sum_one": ("A", lambda names: _desugar_lin(
+        tuple((Fraction(1), o) for o in names), Fraction(1), "=")),
+    "K_distribution": ("ff", lambda p, q: implies(
+        K(implies(p, q)), implies(K(p), K(q)))),
+    "K_truth": ("f", lambda p: implies(K(p), p)),
+    "K_pos_introspection": ("f", lambda p: implies(K(p), K(K(p)))),
+    "K_neg_introspection": ("f", lambda p: implies(Not(K(p)), K(Not(K(p))))),
+    "B_distribution": ("ff", lambda p, q: implies(
+        belief(implies(p, q)), implies(belief(p), belief(q)))),
+    "K_entails_B": ("f", lambda p: implies(K(p), belief(p))),
+    "B_pos_introspection": ("f", lambda p: implies(belief(p), belief(belief(p)))),
+    "B_neg_introspection": ("f", lambda p: implies(
+        Not(belief(p)), belief(Not(belief(p))))),
+    "B_reflexive_cond": ("f", lambda p: BelCond(p, p)),
+    "B_cumulative": ("fff", lambda p, q, r: implies(
+        BelCond(q, p), iff(BelCond(r, And(p, q)), BelCond(r, p)))),
+    "B_rational_monotony": ("fff", lambda p, q, r: implies(
+        Not(BelCond(Not(q), p)),
+        iff(BelCond(r, And(p, q)), BelCond(implies(q, r), p)))),
+    "announce_atom": ("fa", lambda p, q: iff(DynAnn(p, q), implies(p, q))),
+    "observe_atom": ("ao", lambda q, o: iff(DynObs((o,), q), q)),
+    "announce_negation": ("ff", lambda p, q: iff(
+        DynAnn(p, Not(q)), implies(p, Not(DynAnn(p, q))))),
+    "observe_negation": ("of", lambda o, q: iff(
+        DynObs((o,), Not(q)), Not(DynObs((o,), q)))),
+    "announce_conjunction": ("fff", lambda p, q, r: iff(
+        DynAnn(p, And(q, r)), And(DynAnn(p, q), DynAnn(p, r)))),
+    "observe_conjunction": ("off", lambda o, q, r: iff(
+        DynObs((o,), And(q, r)), And(DynObs((o,), q), DynObs((o,), r)))),
+    "announce_knowledge": ("ff", lambda p, q: iff(
+        DynAnn(p, K(q)), implies(p, K(DynAnn(p, q))))),
+    "observe_knowledge": ("of", lambda o, q: iff(
+        DynObs((o,), K(q)), K(DynObs((o,), q)))),
+    "announce_belief": ("fff", lambda p, q, r: iff(
+        DynAnn(p, BelCond(q, r)),
+        implies(p, BelCond(DynAnn(p, q), And(p, DynAnn(p, r)))))),
+    "observe_belief": ("oof", lambda o, o2, q: iff(
+        DynObs((o,), BelObs(q, (o2,))), BelObs(DynObs((o,), q), (o, o2)))),
+}
 
-    def f(rng, al, d):
-        return random_formula(rng, al, d)
 
-    def outcome(rng, al):
-        return rng.choice(al.names)
-
-    def w_nonneg(rng, al, d):
-        return LinIneq(((Fraction(1), outcome(rng, al)),), Fraction(0))
-
-    def w_sum_one(rng, al, d):
-        terms = tuple((Fraction(1), o) for o in al.names)
-        return _desugar_lin(terms, Fraction(1), "=")
-
-    def k_dist(rng, al, d):
-        p, q = f(rng, al, d), f(rng, al, d)
-        return implies(K(implies(p, q)), implies(K(p), K(q)))
-
-    def k_truth(rng, al, d):
-        p = f(rng, al, d)
-        return implies(K(p), p)
-
-    def k_pos_introspection(rng, al, d):
-        p = f(rng, al, d)
-        return implies(K(p), K(K(p)))
-
-    def k_neg_introspection(rng, al, d):
-        p = f(rng, al, d)
-        return implies(Not(K(p)), K(Not(K(p))))
-
-    def b_dist(rng, al, d):
-        p, q = f(rng, al, d), f(rng, al, d)
-        return implies(belief(implies(p, q)), implies(belief(p), belief(q)))
-
-    def k_entails_b(rng, al, d):
-        p = f(rng, al, d)
-        return implies(K(p), belief(p))
-
-    def b_pos_introspection(rng, al, d):
-        p = f(rng, al, d)
-        return implies(belief(p), belief(belief(p)))
-
-    def b_neg_introspection(rng, al, d):
-        p = f(rng, al, d)
-        return implies(Not(belief(p)), belief(Not(belief(p))))
-
-    def b_reflexive_cond(rng, al, d):
-        p = f(rng, al, d)
-        return BelCond(p, p)
-
-    def b_cumulative(rng, al, d):
-        p, q, r = f(rng, al, d), f(rng, al, d), f(rng, al, d)
-        return implies(
-            BelCond(q, p),
-            iff(BelCond(r, And(p, q)), BelCond(r, p)),
-        )
-
-    def b_rational_monotony(rng, al, d):
-        p, q, r = f(rng, al, d), f(rng, al, d), f(rng, al, d)
-        return implies(
-            Not(BelCond(Not(q), p)),
-            iff(BelCond(r, And(p, q)), BelCond(implies(q, r), p)),
-        )
-
-    def ann_atom(rng, al, d):
-        p = f(rng, al, d)
-        q = random_atom(rng, al)
-        return iff(DynAnn(p, q), implies(p, q))
-
-    def obs_atom(rng, al, d):
-        q = random_atom(rng, al)
-        return iff(DynObs((outcome(rng, al),), q), q)
-
-    def ann_negation(rng, al, d):
-        p, q = f(rng, al, d), f(rng, al, d)
-        return iff(DynAnn(p, Not(q)), implies(p, Not(DynAnn(p, q))))
-
-    def obs_negation(rng, al, d):
-        o = (outcome(rng, al),)
-        q = f(rng, al, d)
-        return iff(DynObs(o, Not(q)), Not(DynObs(o, q)))
-
-    def ann_conjunction(rng, al, d):
-        p, q, r = f(rng, al, d), f(rng, al, d), f(rng, al, d)
-        return iff(DynAnn(p, And(q, r)), And(DynAnn(p, q), DynAnn(p, r)))
-
-    def obs_conjunction(rng, al, d):
-        o = (outcome(rng, al),)
-        q, r = f(rng, al, d), f(rng, al, d)
-        return iff(DynObs(o, And(q, r)), And(DynObs(o, q), DynObs(o, r)))
-
-    def ann_knowledge(rng, al, d):
-        p, q = f(rng, al, d), f(rng, al, d)
-        return iff(DynAnn(p, K(q)), implies(p, K(DynAnn(p, q))))
-
-    def obs_knowledge(rng, al, d):
-        o = (outcome(rng, al),)
-        q = f(rng, al, d)
-        return iff(DynObs(o, K(q)), K(DynObs(o, q)))
-
-    def ann_belief(rng, al, d):
-        p, q, r = f(rng, al, d), f(rng, al, d), f(rng, al, d)
-        return iff(
-            DynAnn(p, BelCond(q, r)),
-            implies(p, BelCond(DynAnn(p, q), And(p, DynAnn(p, r)))),
-        )
-
-    def obs_belief(rng, al, d):
-        o = outcome(rng, al)
-        o2 = outcome(rng, al)
-        q = f(rng, al, d)
-        return iff(
-            DynObs((o,), BelObs(q, (o2,))),
-            BelObs(DynObs((o,), q), (o, o2)),
-        )
-
-    return {
-        "w_nonneg": w_nonneg,
-        "w_sum_one": w_sum_one,
-        "K_distribution": k_dist,
-        "K_truth": k_truth,
-        "K_pos_introspection": k_pos_introspection,
-        "K_neg_introspection": k_neg_introspection,
-        "B_distribution": b_dist,
-        "K_entails_B": k_entails_b,
-        "B_pos_introspection": b_pos_introspection,
-        "B_neg_introspection": b_neg_introspection,
-        "B_reflexive_cond": b_reflexive_cond,
-        "B_cumulative": b_cumulative,
-        "B_rational_monotony": b_rational_monotony,
-        "announce_atom": ann_atom,
-        "observe_atom": obs_atom,
-        "announce_negation": ann_negation,
-        "observe_negation": obs_negation,
-        "announce_conjunction": ann_conjunction,
-        "observe_conjunction": obs_conjunction,
-        "announce_knowledge": ann_knowledge,
-        "observe_knowledge": obs_knowledge,
-        "announce_belief": ann_belief,
-        "observe_belief": obs_belief,
-    }
+def _draw(letter: str, rng: random.Random, alphabet, depth: int):
+    """One argument of a schema builder (see `_SCHEMAS`)."""
+    if letter == "f":
+        return random_formula(rng, alphabet, depth)
+    if letter == "a":
+        return random_atom(rng, alphabet)
+    if letter == "o":
+        return rng.choice(alphabet.names)
+    return alphabet.names
 
 
 def _check_cond_equivalence(model, rng, alphabet, depth) -> Formula | None:
@@ -1038,36 +931,30 @@ def axiom_suite(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    schemas = _schemas()
-    checked = {name: 0 for name in schemas}
-    checked["B_cond_equivalence"] = 0
     counterexamples: list[Counterexample] = []
 
     def record(name: str, model: Model, instance: Formula):
         ext = extension(model, instance, skip_relativization=skip_relativization)
         failing = sorted(set(range(len(model.worlds))) - ext.members)
+        worlds = [str(w) for w in model.worlds]
         counterexamples.append(
-            Counterexample(
-                name,
-                print_formula(instance),
-                [str(w) for w in model.worlds],
-                failing,
-            )
+            Counterexample(name, print_formula(instance), worlds, failing)
         )
 
     for _ in range(trials):
         model = random_model(rng, alphabets, max_worlds)
         alphabet = model.alphabet
-        for name, builder in schemas.items():
-            instance = builder(rng, alphabet, formula_depth)
-            checked[name] += 1
+        for name, (draws, builder) in _SCHEMAS.items():
+            instance = builder(
+                *(_draw(letter, rng, alphabet, formula_depth) for letter in draws)
+            )
             if not valid_in_model(
                 model, instance, skip_relativization=skip_relativization
             ):
                 record(name, model, instance)
         violated = _check_cond_equivalence(model, rng, alphabet, formula_depth)
-        checked["B_cond_equivalence"] += 1
         if violated is not None:
             record("B_cond_equivalence", model, violated)
 
+    checked = dict.fromkeys([*_SCHEMAS, "B_cond_equivalence"], trials)
     return ValidityReport(trials, seed, checked, counterexamples)

@@ -123,15 +123,18 @@ class Model:
     recomputed on conditioning.  `numerators` is the worlds x outcomes matrix
     of world weights times `denominator`, exact: int64 when every entry fits,
     Python ints otherwise.  Build one with `init_state`.
+
+    Two models are equal when their worlds, `fn` and evidence are: the
+    arrays are derived from those and take no part in `==`.
     """
 
     worlds: tuple[MassFunction, ...]
     fn: PlausibilityFn
-    base_log: np.ndarray
+    base_log: np.ndarray = field(compare=False)
     event: ObservationEvent
-    log_values: np.ndarray = field(repr=False)
-    log_weights: np.ndarray = field(repr=False)
-    numerators: np.ndarray = field(repr=False)
+    log_values: np.ndarray = field(repr=False, compare=False)
+    log_weights: np.ndarray = field(repr=False, compare=False)
+    numerators: np.ndarray = field(repr=False, compare=False)
     denominator: int
 
     @property

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -174,6 +175,23 @@ class TestAxioms:
             assert json.loads(done.stdout)["counterexamples"]
             outputs.add(done.stdout)
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize(
+        "extra, code, digest",
+        [
+            (["--trials", "25", "--seed", "42", "--skip-relativization"], 1,
+             "4ea19bde7a7f44e1"),
+            (["--trials", "25", "--seed", "42"], 0, "53f2c7d7b310bfbf"),
+            (["--trials", "10", "--seed", "0", "--depth", "3"], 0, "8fb736a8e8a79a3b"),
+        ],
+        ids=["mutated", "clean", "depth_3"],
+    )
+    def test_pinned_output(self, extra, code, digest, capsys):
+        # The whole report, so that a change in the order of the suite's
+        # random draws shows.
+        assert run(["axioms"] + extra) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["axioms", "--trials", "5", "--seed", "9"]
@@ -374,6 +392,26 @@ class TestBadNumbers:
             ["check", "--model", str(model_path), "--formula", "T"], capsys
         )
         assert str(model_path) in err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"grid_resolution": 2.9},
+            {"grid_resolution": True},
+            {"conditioned_on": [1.8, 0.5]},
+            {"plausibility": {"table": {"0": 1.0, "1": 1.0, "2": 1.0, "7": 1.0}}},
+        ],
+        ids=["fractional_resolution", "bool_resolution", "fractional_counts",
+             "table_key_beyond_worlds"],
+    )
+    def test_misread_model_numbers(self, tmp_path, change, capsys):
+        path = tmp_path / "grid.json"
+        payload = {"alphabet": ["H", "T"], "grid_resolution": 2} | change
+        path.write_text(json.dumps(payload))
+        err = self.assert_usage_error(
+            ["check", "--model", str(path), "--formula", "T"], capsys
+        )
+        assert str(path) in err
 
     def test_model_file_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "list.json"

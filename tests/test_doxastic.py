@@ -356,3 +356,25 @@ class TestModelJson:
         payload = model_to_dict(init_state(coin_grid, ENTROPY)) | change
         with pytest.raises(ValueError):
             model_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"grid_resolution": 2.9},
+            {"grid_resolution": True},
+            {"conditioned_on": [1.8, 0.5]},
+            {"conditioned_on": "10"},
+            {"plausibility": {"table": {"0": 1.0, "1": 1.0, "2": 1.0, "7": 1.0}}},
+        ],
+        ids=["fractional_resolution", "bool_resolution", "fractional_counts",
+             "string_counts", "table_key_beyond_worlds"],
+    )
+    def test_misread_numbers_rejected(self, change):
+        payload = {"alphabet": ["H", "T"], "grid_resolution": 2} | change
+        with pytest.raises(ValueError):
+            model_from_dict(payload)
+        # The same payload with a sound value for the changed field loads.
+        sound = {"grid_resolution": 2, "conditioned_on": [1, 0],
+                 "plausibility": {"table": {"0": 1.0, "1": 1.0, "2": 1.0}}}
+        key = next(iter(change))
+        assert len(model_from_dict(payload | {key: sound[key]}).worlds) == 3

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,7 @@ def lin(coeffs, bound):
 
 
 W_H_HALF = "w(H) >= 1/2"
+W_T_HALF = "w(T) >= 1/2"
 
 
 class TestParser:
@@ -254,6 +259,54 @@ class TestSemantics:
             "w(H) >= 1/2": True,
             "-w(H) >= -3/5": False,
         }
+
+    @pytest.mark.parametrize(
+        "text, trace",
+        [
+            ("T", []),
+            (W_H_HALF, []),
+            (f"~{W_H_HALF}", [(W_H_HALF, True)]),
+            (f"{W_H_HALF} & {W_T_HALF}", [(W_H_HALF, True), (W_T_HALF, False)]),
+            (f"{W_T_HALF} | {W_H_HALF}", [(W_T_HALF, False), (W_H_HALF, True)]),
+            ("K w(H) >= 0", [("w(H) >= 0", True)]),
+            ("B T", [("T", True)]),
+            ("B(T | T)", [("T", True)]),
+            (f"B {W_T_HALF}", [(W_T_HALF, False)]),
+            (f"B(T | {W_H_HALF})", [("T", True), (W_H_HALF, True)]),
+            (f"B({W_T_HALF} | {W_H_HALF})", [(W_T_HALF, False), (W_H_HALF, True)]),
+            (f"B({W_H_HALF} | H,H)", [(W_H_HALF, True)]),
+            (f"[H,T] {W_T_HALF}", [(W_T_HALF, False)]),
+            (f"[{W_H_HALF}] {W_T_HALF}", [(W_H_HALF, True), (W_T_HALF, False)]),
+        ],
+    )
+    def test_check_trace_of_every_kind(self, coin, text, trace):
+        # One entry per immediate subformula, in field order; a simple
+        # belief's implicit condition T is left out even when its body is T.
+        model = self.entropy_model(coin, 10)
+        assert check(model, 7, parse(text, coin)).trace == trace
+
+    def test_shared_subformula_checks_in_linear_time(self):
+        # One object used twice at each of 40 levels: 41 distinct objects on
+        # 2**40 paths, so a walk of the formula as a tree would not finish.
+        # (`check` is left out: its trace prints the subformulas in full.)
+        src = str(Path(logic.__file__).resolve().parents[1])
+        script = (
+            "from plausilearn import *\n"
+            "from plausilearn.logic import And\n"
+            "coin = make_alphabet(['H', 'T'])\n"
+            "model = init_state(simplex_grid(coin, 10), ENTROPY)\n"
+            "g = parse('w(H) >= 1/2', coin)\n"
+            "for _ in range(40):\n"
+            "    g = And(g, g)\n"
+            "print(sorted(extension(model, g).members), satisfies(model, 4, g),\n"
+            "      valid_in_model(model, g))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[5, 6, 7, 8, 9, 10] False False\n"
 
     def test_check_accepts_mass_function_world(self, coin, fair_coin):
         model = self.entropy_model(coin, 10)

@@ -90,6 +90,18 @@ class TestInitState:
         with pytest.raises(IncompleteTableError):
             init_state(coin_grid, tabulated({0: 1.0}))
 
+    def test_equality(self, coin):
+        a = init_state(simplex_grid(coin, 4), ENTROPY)
+        b = init_state(simplex_grid(coin, 4), ENTROPY)
+        assert a is not b and a == b
+        assert a != init_state(simplex_grid(coin, 4), CENTRE_OF_MASS)
+        assert a != init_state(simplex_grid(coin, 4), tabulated([1.0] * 5))
+        heads, tails = ObservationEvent(coin, (2, 0)), ObservationEvent(coin, (0, 1))
+        assert condition(a, heads) != a
+        assert condition(condition(a, heads), tails) == condition(
+            condition(b, tails), heads
+        )
+
 
 class TestConditioning:
     def test_coin_example_ordering(self, coin):
