@@ -17,7 +17,7 @@ import textwrap
 from fractions import Fraction
 
 from . import convergence, doxastic, logic, simplex
-from .plausibility import CENTRE_OF_MASS, ENTROPY, Model, init_state
+from .plausibility import Model, init_state
 
 # The grammar has one source: the EBNF block of the `logic` docstring.
 _EBNF = re.search(r"EBNF\)::\n\n(.*?)\n\n", logic.__doc__ or "", re.S)
@@ -61,8 +61,7 @@ def _cmd_grid(args) -> int:
     except ValueError as exc:
         raise _UsageError(f"bad --alphabet: {exc}") from exc
     worlds = simplex.simplex_grid(alphabet, args.resolution)
-    fn = {"entropy": ENTROPY, "centre_of_mass": CENTRE_OF_MASS}[args.plausibility]
-    model = init_state(worlds, fn)
+    model = init_state(worlds, doxastic.PLAUSIBILITY_NAMES[args.plausibility])
     if args.condition:
         try:
             event = simplex.parse_event(alphabet, args.condition)
@@ -109,6 +108,8 @@ def _cmd_check(args) -> int:
 def _cmd_axioms(args) -> int:
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
+    if args.depth < 0:
+        raise _UsageError("--depth must be at least 0")
     report = logic.axiom_suite(
         trials=args.trials,
         seed=args.seed,
@@ -127,6 +128,8 @@ def _parse_truth(alphabet, text: str) -> simplex.MassFunction:
 def _cmd_simulate(args) -> int:
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
+    if args.horizon < 1:
+        raise _UsageError("--horizon must be at least 1")
     if args.eps is not None and not args.eps > 0:
         raise _UsageError("--eps must be positive")
     model = _load_model(args.model)
@@ -187,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--resolution", type=int, required=True)
     grid.add_argument(
         "--plausibility",
-        choices=["entropy", "centre_of_mass"],
+        choices=list(doxastic.PLAUSIBILITY_NAMES),
         default="entropy",
     )
     grid.add_argument(

@@ -86,21 +86,39 @@ def update_proposition(model: Model, p: Proposition) -> Model:
 # ---------------------------------------------------------------------------
 # Model files
 
-_PLAUSIBILITY_NAMES = {"entropy": ENTROPY, "centre_of_mass": CENTRE_OF_MASS}
+#: The plausibility maps that a model file or `grid --plausibility` names.
+PLAUSIBILITY_NAMES = {"entropy": ENTROPY, "centre_of_mass": CENTRE_OF_MASS}
 
 _MODEL_KEYS = {
     "alphabet", "worlds", "grid_resolution", "plausibility", "conditioned_on"
 }
 
 
-def _plausibility_from_spec(spec) -> PlausibilityFn:
+def _plausibility_from_spec(spec, n_worlds: int) -> PlausibilityFn:
     if isinstance(spec, str):
-        if spec not in _PLAUSIBILITY_NAMES:
+        if spec not in PLAUSIBILITY_NAMES:
             raise ValueError(f"unknown plausibility {spec!r}")
-        return _PLAUSIBILITY_NAMES[spec]
+        return PLAUSIBILITY_NAMES[spec]
     if isinstance(spec, dict) and spec.keys() == {"table"}:
-        return tabulated(spec["table"])
+        return _table_from_spec(spec["table"], n_worlds)
     raise ValueError(f"bad plausibility spec {spec!r}")
+
+
+def _table_from_spec(table, n_worlds: int) -> PlausibilityFn:
+    """A plausibility table read exactly: each key is the decimal index of
+    one world, so "01" names no world, and each value is a JSON number."""
+    if not isinstance(table, dict):
+        raise ValueError(f"plausibility table must be a JSON object, not {table!r}")
+    unknown = sorted(table.keys() - {str(i) for i in range(n_worlds)})
+    if unknown:
+        raise ValueError(
+            f"plausibility table has keys {unknown[:5]} that name none of the "
+            f"{n_worlds} worlds"
+        )
+    bad = [v for v in table.values() if not _is_int(v) and type(v) is not float]
+    if bad:
+        raise ValueError(f"plausibility table values must be numbers, not {bad[:5]}")
+    return tabulated({int(k): v for k, v in table.items()})
 
 
 def _is_int(value) -> bool:
@@ -150,14 +168,7 @@ def model_from_dict(payload: dict) -> Model:
         if not _is_int(resolution):
             raise ValueError(f"'grid_resolution' must be an integer, not {resolution!r}")
         worlds = simplex_grid(alphabet, resolution)
-    fn = _plausibility_from_spec(payload.get("plausibility", "entropy"))
-    if fn.kind == "tabulated":
-        extra = sorted(fn.table.keys() - range(len(worlds)))
-        if extra:
-            raise ValueError(
-                f"plausibility table has keys {extra[:5]} beyond the "
-                f"{len(worlds)} worlds"
-            )
+    fn = _plausibility_from_spec(payload.get("plausibility", "entropy"), len(worlds))
     model = init_state(worlds, fn)
     conditioned = payload.get("conditioned_on")
     if conditioned is not None and not (

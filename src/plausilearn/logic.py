@@ -528,8 +528,8 @@ def print_formula(node: Formula) -> str:
 # each Formula field replaced by its child's integer node id: (And, l, r),
 # (DynObs, obs, body), (LinIneq, terms, bound).  A model is an integer handle
 # owned by the evaluator (the root is 0, each submodel an update builds is
-# appended), and an extension is an int bitset, bit i standing for world i;
-# both become objects only at the public boundary.
+# appended), and an extension is a bool mask over the model's worlds; both
+# become objects only at the public boundary.
 
 
 @dataclass
@@ -539,21 +539,6 @@ class CheckResult:
     verdict: bool
     world: int
     trace: list[tuple[str, bool]] = field(default_factory=list)
-
-
-def _bits(mask: np.ndarray) -> int:
-    """The bitset of a bool mask: bit i is mask[i]."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
-def _mask(bits: int, n: int) -> np.ndarray:
-    """The bool mask of length `n` of a bitset."""
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
-
-
-def _members(bits: int, n: int) -> list[int]:
-    return np.flatnonzero(_mask(bits, n)).tolist()
 
 
 def _decide_atom(model: Model, terms, bound: Fraction) -> np.ndarray:
@@ -583,10 +568,10 @@ class _Evaluator:
     def __init__(self, model: Model, skip_relativization: bool = False):
         self.skip_relativization = skip_relativization
         self.models = [model]  # handle -> model
-        self.submodels: dict = {}  # (handle, update, counts or bitset) -> handle
+        self.submodels: dict = {}  # (handle, update, event or proposition) -> handle
         self.nodes: list[tuple] = []  # node id -> (class, *fields)
         self.node_ids: dict = {}  # node -> node id
-        self.labels: dict = {}  # (handle, node id) -> bitset
+        self.labels: dict = {}  # (handle, node id) -> bool mask
 
     def compile(self, f: Formula) -> int:
         """Node id of `f`; structurally equal formulas get the same id."""
@@ -614,88 +599,78 @@ class _Evaluator:
             seen[id(f)] = node_id
         return node_id
 
-    def label(self, handle: int, node_id: int) -> int:
-        """Extension of node `node_id` in model `handle`, as a bitset."""
+    def label(self, handle: int, node_id: int) -> np.ndarray:
+        """Extension of node `node_id` in model `handle`, as a bool mask.
+        Masks are shared through the cache: never write to one."""
         key = (handle, node_id)
-        bits = self.labels.get(key)
-        if bits is None:
-            bits = self.labels[key] = self._compute(handle, node_id)
-        return bits
+        mask = self.labels.get(key)
+        if mask is None:
+            mask = self.labels[key] = self._compute(handle, node_id)
+        return mask
 
-    def _compute(self, handle: int, node_id: int) -> int:
+    def _compute(self, handle: int, node_id: int) -> np.ndarray:
         model = self.models[handle]
         n = len(model.worlds)
-        everything = (1 << n) - 1
         kind, *args = self.nodes[node_id]
         if kind is Top:
-            return everything
+            return np.ones(n, dtype=bool)
         if kind is LinIneq:
-            return _bits(_decide_atom(model, *args))
+            return _decide_atom(model, *args)
         if kind is Not:
-            return everything ^ self.label(handle, args[0])
+            return ~self.label(handle, args[0])
         if kind is And:
             return self.label(handle, args[0]) & self.label(handle, args[1])
         if kind is Or:
             return self.label(handle, args[0]) | self.label(handle, args[1])
         if kind is K:
-            return everything if self.label(handle, args[0]) == everything else 0
+            return np.full(n, self.label(handle, args[0]).all())
         if kind is BelCond:
             # Belief in the body among the most plausible cond-worlds;
-            # vacuously true when there are none.
-            cond = self.label(handle, args[1])
-            if cond:
-                best = _bits(_argmax_mask(model.log_values, _mask(cond, n)))
-                if best & ~self.label(handle, args[0]):
-                    return 0
-            return everything
+            # vacuously true when there are none, and then the body is not
+            # labelled at all.
+            best = _argmax_mask(model.log_values, self.label(handle, args[1]))
+            return np.full(n, not best.any() or self.label(handle, args[0])[best].all())
         if kind is BelObs:
             event = observe(model.alphabet, args[1])
-            best = _bits(_tie_mask(condition(model, event).log_values))
-            return 0 if best & ~self.label(handle, args[0]) else everything
+            best = _tie_mask(condition(model, event).log_values)
+            return np.full(n, self.label(handle, args[0])[best].all())
         if kind is DynObs:
-            counts = observe(model.alphabet, args[0]).counts
-            sub = self._submodel(handle, update_sampling, counts)
-            # Sampling keeps the world set, so indices carry over.
-            return self.label(sub, args[1])
-        return self._announce(handle, args[0], args[1], n)
+            event = observe(model.alphabet, args[0])
+            # Sampling keeps the world set, so the mask carries over.
+            return self.label(self._submodel(handle, update_sampling, event), args[1])
+        return self._announce(handle, args[0], args[1])
 
-    def _submodel(self, handle: int, update, key) -> int:
-        """Handle of the model `update` builds from model `handle`, given
-        sampling counts or the bitset of the announced worlds."""
-        sub = self.submodels.get((handle, update, key))
+    def _submodel(self, handle: int, update, arg) -> int:
+        """Handle of the model `update(model, arg)` builds from model
+        `handle`; `arg` is an ObservationEvent or a Proposition."""
+        key = (handle, update, arg)
+        sub = self.submodels.get(key)
         if sub is None:
-            model = self.models[handle]
-            if update is update_sampling:
-                arg = ObservationEvent(model.alphabet, key)
-            else:
-                arg = Proposition.of(_members(key, len(model.worlds)))
-            sub = self.submodels[handle, update, key] = len(self.models)
-            self.models.append(update(model, arg))
+            sub = self.submodels[key] = len(self.models)
+            self.models.append(update(self.models[handle], arg))
         return sub
 
-    def _announce(self, handle: int, ann_id: int, body_id: int, n: int) -> int:
+    def _announce(self, handle: int, ann_id: int, body_id: int) -> np.ndarray:
         ann = self.label(handle, ann_id)
-        everything = (1 << n) - 1
         if self.skip_relativization:
             # Deliberately broken semantics for mutation testing: evaluate
             # the body after the announcement regardless of whether the
             # world satisfies it (keeping the world in the submodel).
-            result = 0
-            for i in range(n):
-                kept = ann | 1 << i
-                sub = self._submodel(handle, update_proposition, kept)
-                position = (kept & ((1 << i) - 1)).bit_count()
-                result |= (self.label(sub, body_id) >> position & 1) << i
-            return result
-        if not ann:
-            return everything
-        sub = self._submodel(handle, update_proposition, ann)
-        # Bit k of the body's extension in the submodel stands for the k-th
-        # announced world.
-        kept = np.flatnonzero(_mask(ann, n))
-        survivors = np.zeros(n, dtype=bool)
-        survivors[kept[_mask(self.label(sub, body_id), len(kept))]] = True
-        return (everything ^ ann) | _bits(survivors)
+            out = np.empty_like(ann)
+            for i in range(len(ann)):
+                kept = ann.copy()
+                kept[i] = True
+                arg = Proposition.of(np.flatnonzero(kept).tolist())
+                sub = self._submodel(handle, update_proposition, arg)
+                out[i] = self.label(sub, body_id)[np.count_nonzero(kept[:i])]
+            return out
+        out = ~ann
+        if ann.any():
+            arg = Proposition.of(np.flatnonzero(ann).tolist())
+            sub = self._submodel(handle, update_proposition, arg)
+            # The k-th world of the submodel is the k-th announced world.
+            out[ann] = self.label(sub, body_id)
+        return out
 
 
 def _world_index(model: Model, world) -> int:
@@ -709,11 +684,11 @@ def _world_index(model: Model, world) -> int:
         raise KeyError(f"world {world} not in model") from None
 
 
-def satisfies(model: Model, world, f: Formula, *, skip_relativization=False) -> bool:
+def satisfies(model: Model, world, f: Formula) -> bool:
     """True iff `f` holds at `world` (a MassFunction or index) in `model`."""
     index = _world_index(model, world)
-    ev = _Evaluator(model, skip_relativization)
-    return bool(ev.label(0, ev.compile(f)) >> index & 1)
+    ev = _Evaluator(model)
+    return bool(ev.label(0, ev.compile(f))[index])
 
 
 def check(model: Model, world, f: Formula) -> CheckResult:
@@ -721,7 +696,7 @@ def check(model: Model, world, f: Formula) -> CheckResult:
     index = _world_index(model, world)
     ev = _Evaluator(model)
     root = ev.compile(f)
-    verdict = bool(ev.label(0, root) >> index & 1)
+    verdict = bool(ev.label(0, root)[index])
     # The node lists the fields in order, Formula fields as child ids.
     subs = [
         (sub, child)
@@ -731,7 +706,7 @@ def check(model: Model, world, f: Formula) -> CheckResult:
     if type(f) is BelCond and f.cond == TOP:
         subs = subs[:1]  # a simple belief: its condition T is implicit
     trace = [
-        (print_formula(sub), bool(ev.label(0, child) >> index & 1))
+        (print_formula(sub), bool(ev.label(0, child)[index]))
         for sub, child in subs
     ]
     return CheckResult(verdict, index, trace)
@@ -740,13 +715,13 @@ def check(model: Model, world, f: Formula) -> CheckResult:
 def extension(model: Model, f: Formula, *, skip_relativization=False) -> Proposition:
     """The set of worlds of `model` satisfying `f`."""
     ev = _Evaluator(model, skip_relativization)
-    return Proposition.of(_members(ev.label(0, ev.compile(f)), len(model.worlds)))
+    return Proposition.of(np.flatnonzero(ev.label(0, ev.compile(f))).tolist())
 
 
 def valid_in_model(model: Model, f: Formula, *, skip_relativization=False) -> bool:
     """True iff `f` holds at every world of `model`."""
     ev = _Evaluator(model, skip_relativization)
-    return ev.label(0, ev.compile(f)) == (1 << len(model.worlds)) - 1
+    return bool(ev.label(0, ev.compile(f)).all())
 
 
 # ---------------------------------------------------------------------------

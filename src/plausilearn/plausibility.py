@@ -95,8 +95,8 @@ class PlausibilityFn:
                     f"table missing worlds {missing[:5]}"
                 )
             vals = [float(self.table[i]) for i in range(len(worlds))]
-            if any(v < 0 for v in vals):
-                raise ValueError("plausibility values must be non-negative")
+            if not all(0 <= v < math.inf for v in vals):
+                raise ValueError("plausibility values must be finite and non-negative")
             return vals
         raise ValueError(f"unknown plausibility kind {self.kind!r}")
 

@@ -247,7 +247,8 @@ class TestSimulate:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert "baseline" in out
-        rows = list(csv.reader(trace.open()))
+        with trace.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["trial", "settled", "settle_time", "baseline_settle_time"]
         assert len(rows) == 5
 
@@ -347,6 +348,19 @@ class TestBadNumbers:
     def test_axioms_trials_zero(self, capsys):
         self.assert_usage_error(["axioms", "--trials", "0"], capsys)
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_simulate_horizon_below_one(self, model_path, horizon, capsys):
+        err = self.assert_usage_error(
+            ["simulate", "--model", str(model_path), "--truth", "7/10,3/10",
+             "--horizon", horizon],
+            capsys,
+        )
+        assert "--horizon" in err
+
+    def test_axioms_negative_depth(self, capsys):
+        err = self.assert_usage_error(["axioms", "--depth", "-4"], capsys)
+        assert "--depth" in err
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -400,9 +414,13 @@ class TestBadNumbers:
             {"grid_resolution": True},
             {"conditioned_on": [1.8, 0.5]},
             {"plausibility": {"table": {"0": 1.0, "1": 1.0, "2": 1.0, "7": 1.0}}},
+            {"plausibility": {"table": {"0": 1.0, "1": 2.0, "01": 5.0, "2": True}}},
+            {"plausibility": {"table": {"0": 1.0, "1": "2", "2": 1.0}}},
+            {"plausibility": {"table": {"0": float("inf"), "1": 1, "2": 1}}},
         ],
         ids=["fractional_resolution", "bool_resolution", "fractional_counts",
-             "table_key_beyond_worlds"],
+             "table_key_beyond_worlds", "table_key_with_leading_zero",
+             "table_string_value", "table_infinite_value"],
     )
     def test_misread_model_numbers(self, tmp_path, change, capsys):
         path = tmp_path / "grid.json"

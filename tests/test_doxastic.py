@@ -274,6 +274,12 @@ class TestRandomModelLaws:
             assert len(updated.worlds) == len(members)
 
 
+def coin_grid_table(change: dict) -> dict:
+    """A plausibility spec with one entry per world of the coin grid of
+    resolution 10, all 1.0, then `change` applied."""
+    return {"plausibility": {"table": {str(i): 1.0 for i in range(11)} | change}}
+
+
 class TestModelJson:
     def test_roundtrip_worlds(self, coin_grid):
         model = init_state(coin_grid, ENTROPY)
@@ -349,8 +355,15 @@ class TestModelJson:
             {"grid_resolution": 2},
             {"alphabet": "HT"},
             {"plausability": "centre_of_mass"},
+            coin_grid_table({"01": 5.0}),
+            coin_grid_table({"2": True}),
+            coin_grid_table({"2": "2"}),
+            coin_grid_table({"0": math.inf}),
+            coin_grid_table({"0": math.nan}),
         ],
-        ids=["worlds_and_grid_resolution", "string_alphabet", "unknown_key"],
+        ids=["worlds_and_grid_resolution", "string_alphabet", "unknown_key",
+             "table_key_with_leading_zero", "table_bool_value",
+             "table_string_value", "table_infinite_value", "table_nan_value"],
     )
     def test_misread_fields_rejected(self, coin_grid, change):
         payload = model_to_dict(init_state(coin_grid, ENTROPY)) | change

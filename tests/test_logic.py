@@ -19,6 +19,7 @@ from plausilearn import (
     print_formula,
     satisfies,
     simplex_grid,
+    update_proposition,
     valid_in_model,
 )
 from plausilearn import logic
@@ -328,6 +329,47 @@ class TestSemantics:
             left = DynObs((o,), belief(body))
             right = BelObs(DynObs((o,), body), (o,))
             assert extension(model, left) == extension(model, right)
+
+
+class TestEntryPoints:
+    """The three entry points and the announcement clause, against oracles
+    built from the public API."""
+
+    def test_announcement_matches_update_oracle(self):
+        rng = random.Random(29)
+        for _ in range(80):
+            model = random_model(rng)
+            p = random_formula(rng, model.alphabet, 2)
+            q = random_formula(rng, model.alphabet, 2)
+            ann = extension(model, p)
+            # Worlds outside p satisfy [p] q vacuously; the k-th world of the
+            # updated model is the k-th world of p.
+            expected = set(range(len(model.worlds))) - ann.members
+            if ann.members:
+                kept = sorted(ann.members)
+                after = extension(update_proposition(model, ann), q)
+                expected |= {kept[k] for k in after.members}
+            assert extension(model, DynAnn(p, q)).members == expected
+
+    def test_satisfies_valid_and_extension_agree(self):
+        rng = random.Random(31)
+        for _ in range(80):
+            model = random_model(rng)
+            f = random_formula(rng, model.alphabet, 2)
+            ext = extension(model, f)
+            n = len(model.worlds)
+            assert {i for i in range(n) if satisfies(model, i, f)} == ext.members
+            assert valid_in_model(model, f) == (len(ext.members) == n)
+
+    def test_empty_condition_leaves_body_unlabelled(self, coin, monkeypatch):
+        def no_sampling(model, event):
+            raise AssertionError("update_sampling called")
+
+        monkeypatch.setattr(logic, "update_sampling", no_sampling)
+        model = init_state(simplex_grid(coin, 10), ENTROPY)
+        assert valid_in_model(model, parse("B([H] T | w(H) >= 2)", coin))
+        with pytest.raises(AssertionError, match="update_sampling"):
+            valid_in_model(model, parse("B([H] T | w(H) >= 1/2)", coin))
 
 
 def fraction_extension(model, atom):

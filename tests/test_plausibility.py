@@ -90,6 +90,11 @@ class TestInitState:
         with pytest.raises(IncompleteTableError):
             init_state(coin_grid, tabulated({0: 1.0}))
 
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_table_value_out_of_range_rejected(self, coin_grid, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            init_state(coin_grid, tabulated([bad] + [1.0] * 10))
+
     def test_equality(self, coin):
         a = init_state(simplex_grid(coin, 4), ENTROPY)
         b = init_state(simplex_grid(coin, 4), ENTROPY)
