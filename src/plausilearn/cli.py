@@ -39,17 +39,14 @@ def _emit_json(payload: dict) -> None:
 
 def _load_model(path: str) -> Model:
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        return doxastic.load_model(path)
     except OSError as exc:
         raise _UsageError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except json.JSONDecodeError as exc:  # before ValueError, its base class
         raise _UsageError(
             f"malformed model JSON in {path} at line {exc.lineno}: {exc.msg}"
         ) from exc
-    try:
-        return doxastic.model_from_dict(payload)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # UnicodeDecodeError included
         raise _UsageError(f"bad model file {path}: {exc}") from exc
 
 
@@ -132,6 +129,8 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--horizon must be at least 1")
     if args.eps is not None and not args.eps > 0:
         raise _UsageError("--eps must be positive")
+    if args.seed < 0:
+        raise _UsageError("--seed must be non-negative")
     model = _load_model(args.model)
     if not model.event.is_empty:
         raise _UsageError(f"model {args.model} has non-empty conditioned_on, "

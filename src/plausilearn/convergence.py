@@ -6,8 +6,8 @@ after which belief stays inside the epsilon-ball around the truth for the
 rest of the horizon.  This finite-horizon settling time is the testable
 surrogate for the almost-sure "eventually stays close" guarantee.
 
-A Bayesian learner over the same finite world set (uniform prior, posterior
-mass of the ball exceeding 0.95) is available as a paired baseline.
+A Bayesian learner over the same finite world set (uniform prior, ball
+posterior above `BASELINE_THRESHOLD`) is available as a paired baseline.
 """
 
 from __future__ import annotations
@@ -209,11 +209,15 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(out), out, direct)
 
 
+#: Ball posterior mass above which the Bayesian baseline has settled.
+BASELINE_THRESHOLD = 0.95
+
+
 def bayesian_baseline_trial(
-    cfg: TrialConfig, threshold: float = 0.95, shared: _Shared | None = None
+    cfg: TrialConfig, shared: _Shared | None = None
 ) -> TrialResult:
     """Bayesian learner on the same stream: uniform prior over the worlds,
-    settled when the posterior mass of the epsilon-ball exceeds `threshold`.
+    settled when the epsilon-ball's posterior mass exceeds `BASELINE_THRESHOLD`.
 
     Unlike `run_trial` this tolerates a truth outside the world set: the
     ball may then be empty and the learner simply never settles."""
@@ -229,7 +233,7 @@ def bayesian_baseline_trial(
         with np.errstate(invalid="ignore"):
             ball_mass = np.exp(_logsumexp_rows(log_post[:, :shared.inside]) - norm)
         # NaN (every world at plausibility 0) fails, as a mass of 0 does.
-        fails.append(~(ball_mass > threshold))
+        fails.append(~(ball_mass > BASELINE_THRESHOLD))
     last = log_post[-1] - norm[-1] if norm[-1] > -math.inf else log_post[-1]
     return _settled(fails, cfg.horizon, shared.worlds_of(_tie_mask(last)))
 

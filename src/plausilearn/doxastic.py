@@ -126,6 +126,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _ratio(num, den) -> Fraction:
+    if not (_is_int(num) and _is_int(den)):
+        raise TypeError(f"{[num, den]!r} is not a pair of integers")
+    return Fraction(num, den)
+
+
 def _plausibility_to_spec(fn: PlausibilityFn):
     if fn.kind == "tabulated":
         return {"table": {str(k): v for k, v in fn.table.items()}}
@@ -154,7 +160,7 @@ def model_from_dict(payload: dict) -> Model:
     if "worlds" in payload:
         try:
             worlds = [
-                mass_function(alphabet, [Fraction(num, den) for num, den in vec])
+                mass_function(alphabet, [_ratio(*pair) for pair in vec])
                 for vec in payload["worlds"]
             ]
         except TypeError as exc:
@@ -196,7 +202,8 @@ def model_to_dict(model: Model) -> dict:
 
 
 def load_model(path) -> Model:
-    with open(path) as fh:
+    """Read a model file: UTF-8 JSON in the schema of `model_from_dict`."""
+    with open(path, encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))
 
 

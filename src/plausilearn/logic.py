@@ -741,45 +741,39 @@ def random_atom(rng: random.Random, alphabet) -> Formula:
     return _desugar_lin(terms, rng.choice(_BOUNDS), rel)
 
 
+#: Formula kinds by the band of one uniform draw that picks them:
+#: (band end, draws, builder), draws lettered as in `_SCHEMAS`.
+_FORMULA_BANDS = (
+    (0.25, "a", lambda atom: atom),
+    (0.35, "f", Not),
+    (0.45, "ff", And),
+    (0.55, "ff", Or),
+    (0.65, "f", K),
+    (0.72, "f", belief),
+    (0.79, "ff", BelCond),
+    (0.86, "fl", BelObs),
+    (0.93, "lf", DynObs),
+    (1.0, "ff", DynAnn),
+)
+
+
 def random_formula(rng: random.Random, alphabet, max_depth: int) -> Formula:
     """A random formula of nesting depth at most `max_depth`."""
     if max_depth <= 0:
         return random_atom(rng, alphabet)
-    pick = rng.random()
-    sub = lambda: random_formula(rng, alphabet, max_depth - 1)
-    if pick < 0.25:
-        return random_atom(rng, alphabet)
-    if pick < 0.35:
-        return Not(sub())
-    if pick < 0.45:
-        return And(sub(), sub())
-    if pick < 0.55:
-        return Or(sub(), sub())
-    if pick < 0.65:
-        return K(sub())
-    if pick < 0.72:
-        return belief(sub())
-    if pick < 0.79:
-        return BelCond(sub(), sub())
-    if pick < 0.86:
-        return BelObs(sub(), _random_obslist(rng, alphabet))
-    if pick < 0.93:
-        return DynObs(_random_obslist(rng, alphabet), sub())
-    return DynAnn(sub(), sub())
-
-
-def _random_obslist(rng: random.Random, alphabet) -> tuple[str, ...]:
-    length = rng.choice([1, 1, 2, 3])
-    return tuple(rng.choice(alphabet.names) for _ in range(length))
+    pick, depth = rng.random(), max_depth - 1
+    for end, draws, builder in _FORMULA_BANDS:
+        if pick < end:
+            return builder(*[_draw(letter, rng, alphabet, depth) for letter in draws])
 
 
 DEFAULT_ALPHABETS = (("H", "T"), ("R", "B", "G"))
 
 
-def random_model(rng: random.Random, alphabets=DEFAULT_ALPHABETS, max_worlds=10) -> Model:
+def random_model(rng: random.Random, max_worlds=10) -> Model:
     """A random finite model: a subset of a simplex grid with random
     tabulated plausibilities, occasionally pre-conditioned on evidence."""
-    alphabet = make_alphabet(rng.choice(alphabets))
+    alphabet = make_alphabet(rng.choice(DEFAULT_ALPHABETS))
     grid = simplex_grid(alphabet, rng.choice([3, 4, 5, 6]))
     size = rng.randint(2, min(max_worlds, len(grid)))
     worlds = [grid[i] for i in sorted(rng.sample(range(len(grid)), size))]
@@ -818,8 +812,8 @@ class ValidityReport:
 
 #: The validity schemas: name -> (draws, builder).  Each letter of `draws`
 #: is one argument of the builder, drawn in that order: "f" a random formula,
-#: "a" a random atom, "o" a random outcome, "A" the alphabet's outcome names
-#: (which draws nothing).
+#: "a" a random atom, "o" a random outcome, "l" a random observation list,
+#: "A" the alphabet's outcome names (which draws nothing).
 _SCHEMAS = {
     "w_nonneg": ("o", lambda o: LinIneq(((Fraction(1), o),), Fraction(0))),
     "w_sum_one": ("A", lambda names: _desugar_lin(
@@ -871,6 +865,8 @@ def _draw(letter: str, rng: random.Random, alphabet, depth: int):
         return random_atom(rng, alphabet)
     if letter == "o":
         return rng.choice(alphabet.names)
+    if letter == "l":
+        return tuple(rng.choice(alphabet.names) for _ in range(rng.choice([1, 1, 2, 3])))
     return alphabet.names
 
 
@@ -892,7 +888,6 @@ def _check_cond_equivalence(model, rng, alphabet, depth) -> Formula | None:
 def axiom_suite(
     trials: int,
     seed: int,
-    alphabets=DEFAULT_ALPHABETS,
     formula_depth: int = 2,
     max_worlds: int = 10,
     skip_relativization: bool = False,
@@ -917,7 +912,7 @@ def axiom_suite(
         )
 
     for _ in range(trials):
-        model = random_model(rng, alphabets, max_worlds)
+        model = random_model(rng, max_worlds)
         alphabet = model.alphabet
         for name, (draws, builder) in _SCHEMAS.items():
             instance = builder(

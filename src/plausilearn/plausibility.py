@@ -37,8 +37,8 @@ from .simplex import (
     event_concat,
 )
 
-#: Relative tie tolerance for argmax extraction.  Grid symmetry produces
-#: exact mathematical ties that floating point perturbs slightly.
+#: Relative tie tolerance of every argmax and belief decision.  Grid symmetry
+#: produces exact mathematical ties that floating point perturbs slightly.
 TIE_TOLERANCE = 1e-9
 
 
@@ -175,27 +175,25 @@ def _log_plausibilities(
 _INT64_MAX = 2**63 - 1
 
 
-def _tie_mask(values: np.ndarray, tolerance: float = TIE_TOLERANCE) -> np.ndarray:
-    """Row-wise mask of the entries that tie their row's maximum; all True
-    in a row of -inf, where every world is maximal."""
+def _tie_mask(values: np.ndarray) -> np.ndarray:
+    """Row-wise mask of the entries within `TIE_TOLERANCE` of their row's
+    maximum; all True in a row of -inf, where every world is maximal."""
     best = values.max(axis=-1, keepdims=True)
-    # The test is |v - best| <= tolerance * max(1, |v|, |best|); as v <= best,
+    # The test is |v - best| <= tol * max(1, |v|, |best|); as v <= best,
     # |v - best| is best - v and max(|v|, |best|) is max(-v, best), exactly.
     with np.errstate(invalid="ignore"):  # -inf - -inf in a row of -inf
         ties = (values > -math.inf) & (
-            best - values <= tolerance * np.maximum(np.maximum(best, 1.0), -values)
+            best - values <= TIE_TOLERANCE * np.maximum(np.maximum(best, 1.0), -values)
         )
     return ties | (best == -math.inf)
 
 
-def _argmax_mask(
-    values: np.ndarray, within: np.ndarray, tolerance: float = TIE_TOLERANCE
-) -> np.ndarray:
+def _argmax_mask(values: np.ndarray, within: np.ndarray) -> np.ndarray:
     """Mask of the worlds in the mask `within` whose value ties the maximum
     over `within`; all False when `within` is."""
     best = np.zeros(len(values), dtype=bool)
     if within.any():
-        best[within] = _tie_mask(values[within], tolerance)
+        best[within] = _tie_mask(values[within])
     return best
 
 
@@ -239,27 +237,26 @@ def condition(model: Model, e: ObservationEvent) -> Model:
     if e.alphabet != model.alphabet:
         raise AlphabetMismatchError("event alphabet differs from model")
     combined = event_concat(model.event, e)
-    values = _log_plausibilities(model.base_log, model.log_weights, combined.counts)
+    # Float counts, as the kernel casts int64 ones, so counts past int64 work.
+    counts = np.array(combined.counts, dtype=float)
+    values = _log_plausibilities(model.base_log, model.log_weights, counts)
     return replace(model, event=combined, log_values=values)
 
 
-def argmax_worlds(model: Model, tolerance: float = TIE_TOLERANCE) -> Proposition:
+def argmax_worlds(model: Model) -> Proposition:
     """All worlds whose plausibility ties the maximum.
 
     When every world has plausibility 0, all worlds are returned: the
     belief quantifier then ranges over the whole model.
     """
-    mask = _tie_mask(model.log_values, tolerance)
-    return Proposition.of(np.flatnonzero(mask).tolist())
+    return Proposition.of(np.flatnonzero(_tie_mask(model.log_values)).tolist())
 
 
-def argmax_restricted(
-    model: Model, restriction: Proposition, tolerance: float = TIE_TOLERANCE
-) -> Proposition:
+def argmax_restricted(model: Model, restriction: Proposition) -> Proposition:
     """Argmax of the model among the worlds in `restriction` only."""
     within = np.zeros(len(model), dtype=bool)
     within[list(restriction.members)] = True
-    best = _argmax_mask(model.log_values, within, tolerance)
+    best = _argmax_mask(model.log_values, within)
     return Proposition.of(np.flatnonzero(best).tolist())
 
 

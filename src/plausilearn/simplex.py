@@ -7,6 +7,7 @@ are computed in the log domain in floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,23 +130,17 @@ def simplex_grid(alphabet: OutcomeAlphabet, resolution: int) -> list[MassFunctio
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    n = alphabet.size
-    out: list[MassFunction] = []
-
-    def rec(prefix: list[int], remaining: int):
-        if len(prefix) == n - 1:
-            out.append(
-                MassFunction(
-                    alphabet,
-                    tuple(Fraction(k, resolution) for k in prefix + [remaining]),
-                )
-            )
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k)
-
-    rec([], resolution)
-    return out
+    # Stars and bars: n - 1 bars among N + n - 1 slots split N into n
+    # counts, and bar positions in lexicographic order give the counts in
+    # lexicographic order.
+    slots = resolution + alphabet.size - 1
+    return [
+        MassFunction(alphabet, tuple(
+            Fraction(hi - lo - 1, resolution)
+            for lo, hi in zip((-1, *bars), (*bars, slots))
+        ))
+        for bars in itertools.combinations(range(slots), alphabet.size - 1)
+    ]
 
 
 def euclidean_distance(mu: MassFunction, nu: MassFunction) -> float:

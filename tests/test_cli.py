@@ -121,6 +121,16 @@ class TestCheck:
         assert lines[-1] == "valid\tTrue"
         assert len(lines) == 12
 
+    def test_count_past_int64(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "alphabet": ["H", "T"], "grid_resolution": 4,
+            "conditioned_on": [2**70, 1],
+        }))
+        code = run(["check", "--model", str(path), "--formula", "B (w(H) = 3/4)"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+
     def test_bad_formula_exit_two(self, model_path, capsys):
         code = run(
             ["check", "--model", str(model_path), "--formula", "w(H) >="]
@@ -333,6 +343,14 @@ class TestBadNumbers:
             capsys,
         )
 
+    def test_simulate_negative_seed(self, model_path, capsys):
+        err = self.assert_usage_error(
+            ["simulate", "--model", str(model_path), "--truth", "7/10,3/10",
+             "--horizon", "10", "--seed", "-1"],
+            capsys,
+        )
+        assert "--seed" in err
+
     def test_simulate_trials_zero(self, model_path, capsys):
         self.assert_usage_error(
             ["simulate", "--model", str(model_path), "--truth", "7/10,3/10",
@@ -396,9 +414,10 @@ class TestBadNumbers:
             {"grid_resolution": 2},
             {"alphabet": "HT"},
             {"plausability": "centre_of_mass"},
+            {"worlds": [[[True, 2], [1, 2]]]},
         ],
         ids=["bare_numbers", "zero_denominator", "worlds_and_grid_resolution",
-             "string_alphabet", "unknown_key"],
+             "string_alphabet", "unknown_key", "bool_numerator"],
     )
     def test_bad_model_file(self, model_path, change, capsys):
         model_path.write_text(json.dumps(json.loads(model_path.read_text()) | change))
@@ -426,6 +445,14 @@ class TestBadNumbers:
         path = tmp_path / "grid.json"
         payload = {"alphabet": ["H", "T"], "grid_resolution": 2} | change
         path.write_text(json.dumps(payload))
+        err = self.assert_usage_error(
+            ["check", "--model", str(path), "--formula", "T"], capsys
+        )
+        assert str(path) in err
+
+    def test_model_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
         err = self.assert_usage_error(
             ["check", "--model", str(path), "--formula", "T"], capsys
         )

@@ -360,10 +360,12 @@ class TestModelJson:
             coin_grid_table({"2": "2"}),
             coin_grid_table({"0": math.inf}),
             coin_grid_table({"0": math.nan}),
+            {"worlds": [[[True, 2], [1, 2]]]},
         ],
         ids=["worlds_and_grid_resolution", "string_alphabet", "unknown_key",
              "table_key_with_leading_zero", "table_bool_value",
-             "table_string_value", "table_infinite_value", "table_nan_value"],
+             "table_string_value", "table_infinite_value", "table_nan_value",
+             "bool_numerator"],
     )
     def test_misread_fields_rejected(self, coin_grid, change):
         payload = model_to_dict(init_state(coin_grid, ENTROPY)) | change

@@ -19,6 +19,7 @@ from plausilearn import (
     simplex_grid,
     tabulated,
 )
+from plausilearn import convergence, logic, plausibility
 from plausilearn.plausibility import (
     EmptyWorldSetError,
     IncompleteTableError,
@@ -124,6 +125,14 @@ class TestConditioning:
         assert values[0] < values[1] > values[2]
         assert values == pytest.approx([0.2372, 0.2562, 0.2370], abs=1e-4)
 
+    def test_count_past_int64(self, coin):
+        # 2**70 heads do not fit in int64; with one tail they leave world
+        # (3/4, 1/4) the most plausible.
+        state = init_state(simplex_grid(coin, 4), ENTROPY)
+        huge = condition(state, ObservationEvent(coin, (2**70, 1)))
+        assert argmax_worlds(huge).members == {3}
+        assert huge.event.counts == (2**70, 1)
+
     def test_empty_event_is_identity(self, coin_grid):
         state = init_state(coin_grid, ENTROPY)
         conditioned = condition(state, observe(state.worlds[0].alphabet, []))
@@ -223,6 +232,29 @@ class TestArgmax:
     def test_restricted_to_empty_is_empty(self, coin_grid):
         state = init_state(coin_grid, ENTROPY)
         assert argmax_restricted(state, Proposition.of([])).members == set()
+
+    def test_tie_tolerance_is_read_at_every_tie_decision(
+        self, coin, coin_grid, monkeypatch
+    ):
+        # Log entropies on the coin grid: world 5 at -0.367, worlds 4 and 6
+        # 0.029 below it, worlds 3 and 7 0.126 below it.
+        model = init_state(coin_grid, ENTROPY)
+        cfg = convergence.TrialConfig(
+            tuple(coin_grid), ENTROPY, coin_grid[5], horizon=5, seed=1,
+            epsilon=0.05, record_trace=True,
+        )
+        fair = logic.parse("B (w(H) = 1/2)", coin)
+
+        def decisions():
+            return (
+                argmax_worlds(model).members,
+                logic.valid_in_model(model, fair),
+                convergence.run_trial(cfg).belief_trace[0],
+            )
+
+        assert decisions() == ({5}, True, {3})
+        monkeypatch.setattr(plausibility, "TIE_TOLERANCE", 0.1)
+        assert decisions() == ({4, 5, 6}, False, {2, 3, 4})
 
 
 class TestPlausibilityLaws:

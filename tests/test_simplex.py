@@ -120,6 +120,17 @@ class TestSimplexGrid:
         assert all(sum(g.weights) == 1 for g in grid)
         assert len({tuple(g.weights) for g in grid}) == len(grid)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_grid_is_the_sum_filtered_product_in_order(self, n):
+        al = make_alphabet([f"o{i}" for i in range(n)])
+        for resolution in range(1, 9):
+            expected = [
+                tuple(Fraction(k, resolution) for k in ks)
+                for ks in product(range(resolution + 1), repeat=n)
+                if sum(ks) == resolution
+            ]
+            assert [g.weights for g in simplex_grid(al, resolution)] == expected
+
 
 class TestDistanceAndBalls:
     def test_distance_to_self_is_zero(self, fair_coin):
