@@ -17,7 +17,6 @@ from .simplex import (
     epsilon_ball,
     euclidean_distance,
     event_concat,
-    log_likelihood,
     make_alphabet,
     mass_function,
     observe,
@@ -35,6 +34,7 @@ from .plausibility import (
     condition,
     entropy_plausibility,
     init_state,
+    log_likelihood,
     tabulated,
 )
 from .doxastic import (

@@ -84,7 +84,10 @@ def _cmd_check(args) -> int:
         formula = logic.parse(args.formula, model.alphabet)
     except (logic.ParseError, simplex.UnknownOutcomeError) as exc:
         raise _UsageError(f"bad formula: {exc}") from exc
-    ext = logic.extension(model, formula)
+    try:
+        ext = logic.extension(model, formula)
+    except RecursionError:
+        raise _UsageError("formula nests too deeply to check") from None
     verdicts = [i in ext for i in range(len(model.worlds))]
     valid = all(verdicts)
     if args.format == "table":
@@ -107,12 +110,15 @@ def _cmd_axioms(args) -> int:
         raise _UsageError("--trials must be at least 1")
     if args.depth < 0:
         raise _UsageError("--depth must be at least 0")
-    report = logic.axiom_suite(
-        trials=args.trials,
-        seed=args.seed,
-        formula_depth=args.depth,
-        skip_relativization=args.skip_relativization,
-    )
+    try:
+        report = logic.axiom_suite(
+            trials=args.trials,
+            seed=args.seed,
+            formula_depth=args.depth,
+            skip_relativization=args.skip_relativization,
+        )
+    except RecursionError:
+        raise _UsageError(f"--depth {args.depth} nests formulas too deeply") from None
     _emit_json(report.to_dict())
     return 0 if report.ok else 1
 

@@ -63,10 +63,8 @@ def conditional_belief_prop(model: Model, p: Proposition, q: Proposition) -> boo
     """Belief in `p` given the higher-order information `q`.
 
     True iff the most plausible q-worlds are all in p; vacuously true when
-    q is empty.
+    q is empty, as there are none.
     """
-    if not q.members:
-        return True
     return argmax_restricted(model, q) <= p
 
 

@@ -153,6 +153,12 @@ class DynAnn(Formula):
 
 TOP = Top()
 
+#: The binary connectives, loosest first; the parser and the printer both read
+#: this table.  A connective's precedence level is its index, and unary forms
+#: bind at _LVL_UNARY; a B( . | . ) body binds at _LVL_BODY, tighter than "|".
+_CONNECTIVES = (("|", Or), ("&", And))
+_LVL_UNARY, _LVL_BODY = len(_CONNECTIVES), 1
+
 
 def implies(a: Formula, b: Formula) -> Formula:
     return Or(Not(a), b)
@@ -243,25 +249,21 @@ class _Parser:
         self.advance()
 
     # formula := impl; impl := or ("->" impl)?
-    def formula(self, top_level_or: bool = True) -> Formula:
-        left = self.or_chain() if top_level_or else self.and_chain()
+    def formula(self, level: int = 0) -> Formula:
+        left = self.connectives(level)
         if self.at_op("->"):
             self.advance()
-            return implies(left, self.formula(top_level_or))
+            return implies(left, self.formula(level))
         return left
 
-    def or_chain(self) -> Formula:
-        node = self.and_chain()
-        while self.at_op("|"):
-            self.advance()
-            node = Or(node, self.and_chain())
-        return node
-
-    def and_chain(self) -> Formula:
+    def connectives(self, level: int) -> Formula:
+        """Unary operands joined by the connectives at `level` and tighter, by
+        precedence climbing: each nests to the left over tighter right operands."""
+        ops = [op for op, _ in _CONNECTIVES]
         node = self.unary()
-        while self.at_op("&"):
-            self.advance()
-            node = And(node, self.unary())
+        while self.at_op(*ops[level:]):
+            at = ops.index(self.advance().text)
+            node = _CONNECTIVES[at][1](node, self.connectives(at + 1))
         return node
 
     def unary(self) -> Formula:
@@ -292,7 +294,7 @@ class _Parser:
         self.advance()
         # Body may not use a bare top-level "|": that separates the
         # condition.  Parenthesise a top-level disjunction in the body.
-        body = self.formula(top_level_or=False)
+        body = self.formula(_LVL_BODY)
         if self.at_op(")"):
             self.advance()
             return belief(body)
@@ -443,7 +445,10 @@ def parse(text: str, alphabet) -> Formula:
     in condition and box positions, and to validate outcome names.
     """
     parser = _Parser(text, alphabet)
-    node = parser.formula()
+    try:
+        node = parser.formula()
+    except RecursionError:
+        raise ParseError("formula nests too deeply", parser.cur.pos) from None
     end = parser.cur
     if end.kind != "end":
         raise ParseError(f"trailing input {end.text!r}", end.pos)
@@ -452,8 +457,6 @@ def parse(text: str, alphabet) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Printer
-
-_LVL_OR, _LVL_AND, _LVL_UNARY = 0, 1, 2
 
 
 def _print_rat(value: Fraction) -> str:
@@ -482,14 +485,10 @@ def _print(node: Formula, level: int) -> str:
         return f"({text})" if level == _LVL_UNARY else text
     if isinstance(node, Not):
         return "~" + _print(node.operand, _LVL_UNARY)
-    if isinstance(node, And):
-        text = (
-            _print(node.left, _LVL_AND) + " & " + _print(node.right, _LVL_UNARY)
-        )
-        return f"({text})" if level == _LVL_UNARY else text
-    if isinstance(node, Or):
-        text = _print(node.left, _LVL_OR) + " | " + _print(node.right, _LVL_AND)
-        return f"({text})" if level > _LVL_OR else text
+    for at, (op, kind) in enumerate(_CONNECTIVES):
+        if isinstance(node, kind):
+            text = f"{_print(node.left, at)} {op} {_print(node.right, at + 1)}"
+            return f"({text})" if level > at else text
     if isinstance(node, K):
         return "K " + _print(node.operand, _LVL_UNARY)
     if isinstance(node, BelCond):
@@ -497,17 +496,17 @@ def _print(node: Formula, level: int) -> str:
             if isinstance(node.body, Or):
                 # "B (a | b)" would read as B(a | b); force the operand
                 # reading with a second pair of parentheses.
-                return f"B (({_print(node.body, _LVL_OR)}))"
+                return f"B (({_print(node.body, 0)}))"
             return "B " + _print(node.body, _LVL_UNARY)
-        body = _print(node.body, _LVL_AND)
-        return f"B({body} | {_print(node.cond, _LVL_OR)})"
+        body = _print(node.body, _LVL_BODY)
+        return f"B({body} | {_print(node.cond, 0)})"
     if isinstance(node, BelObs):
-        body = _print(node.body, _LVL_AND)
+        body = _print(node.body, _LVL_BODY)
         return f"B({body} | {','.join(node.obs)})"
     if isinstance(node, DynObs):
         return f"[{','.join(node.obs)}] " + _print(node.body, _LVL_UNARY)
     if isinstance(node, DynAnn):
-        ann = _print(node.ann, _LVL_OR)
+        ann = _print(node.ann, 0)
         if isinstance(node.ann, Top):
             # Bare "[T]" would read as an observation of an outcome named T.
             ann = f"({ann})"
@@ -517,7 +516,7 @@ def _print(node: Formula, level: int) -> str:
 
 def print_formula(node: Formula) -> str:
     """Canonical text for a formula; re-parses to a structurally equal AST."""
-    return _print(node, _LVL_OR)
+    return _print(node, 0)
 
 
 # ---------------------------------------------------------------------------

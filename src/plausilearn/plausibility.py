@@ -12,7 +12,8 @@ log-plausibilities together with the accumulated evidence counts and
 recomputes the current values from those; integer count addition is exactly
 commutative, so any conditioning order yields identical floats.  One kernel
 does that recomputation for one count vector (`condition`) or for a block of
-them at once (the settling simulator), in the same float order.
+them at once (the settling simulator), in the same float order; the
+log-likelihood of one world (`log_likelihood`) is its one-world case.
 
 A model also holds its world weights exactly, as integer numerators over one
 common denominator, so that the model checker can decide linear atoms by
@@ -191,10 +192,16 @@ def _tie_mask(values: np.ndarray) -> np.ndarray:
 def _argmax_mask(values: np.ndarray, within: np.ndarray) -> np.ndarray:
     """Mask of the worlds in the mask `within` whose value ties the maximum
     over `within`; all False when `within` is."""
-    best = np.zeros(len(values), dtype=bool)
-    if within.any():
-        best[within] = _tie_mask(values[within])
-    return best
+    return _tie_mask(np.where(within, values, -math.inf)) & within
+
+
+def _float_counts(e: ObservationEvent) -> np.ndarray:
+    """The counts of `e` as the kernel takes them: float64, the type an int64
+    count is cast to in the multiply, so counts past int64 work."""
+    try:
+        return np.array(e.counts, dtype=float)
+    except OverflowError:
+        raise ValueError("an observation count exceeds the float range") from None
 
 
 def init_state(worlds, fn: PlausibilityFn) -> Model:
@@ -234,13 +241,20 @@ def condition(model: Model, e: ObservationEvent) -> Model:
     Returns a fresh model; the input is unchanged.  Conditioning on e then
     e' equals conditioning on their combined counts, bit-for-bit.
     """
-    if e.alphabet != model.alphabet:
-        raise AlphabetMismatchError("event alphabet differs from model")
     combined = event_concat(model.event, e)
-    # Float counts, as the kernel casts int64 ones, so counts past int64 work.
-    counts = np.array(combined.counts, dtype=float)
+    counts = _float_counts(combined)
     values = _log_plausibilities(model.base_log, model.log_weights, counts)
     return replace(model, event=combined, log_values=values)
+
+
+def log_likelihood(mu: MassFunction, e: ObservationEvent) -> float:
+    """Log of the i.i.d. probability `mu` assigns to the observations in `e`,
+    by the kernel's one-world case: zero counts add nothing even at weight 0,
+    and a positive count at weight 0 gives -inf."""
+    if mu.alphabet != e.alphabet:
+        raise AlphabetMismatchError("mass function and event alphabets differ")
+    log_weights = mu.log_weights()[None]
+    return float(_log_plausibilities(np.zeros(1), log_weights, _float_counts(e))[0])
 
 
 def argmax_worlds(model: Model) -> Proposition:

@@ -2,7 +2,7 @@
 
 Worlds are points on the probability simplex with exact rational coordinates,
 so that linear-inequality atoms can be decided without rounding.  Likelihoods
-are computed in the log domain in floating point.
+are computed by the conditioning kernel in `plausibility`.
 """
 
 from __future__ import annotations
@@ -233,24 +233,6 @@ def event_concat(e: ObservationEvent, e2: ObservationEvent) -> ObservationEvent:
     return ObservationEvent(
         e.alphabet, tuple(a + b for a, b in zip(e.counts, e2.counts))
     )
-
-
-def log_likelihood(mu: MassFunction, e: ObservationEvent) -> float:
-    """Log of the i.i.d. probability `mu` assigns to the observations in `e`.
-
-    Zero-count outcomes contribute nothing even when their weight is 0; a
-    positive count on a zero-weight outcome yields -inf.
-    """
-    if mu.alphabet != e.alphabet:
-        raise AlphabetMismatchError("mass function and event alphabets differ")
-    total = 0.0
-    for c, w in zip(e.counts, mu.weights):
-        if c == 0:
-            continue
-        if w == 0:
-            return -math.inf
-        total += c * math.log(w)
-    return total
 
 
 @dataclass(frozen=True)

@@ -407,6 +407,23 @@ class TestBadNumbers:
         assert "bad formula" in err
 
     @pytest.mark.parametrize(
+        "formula",
+        ["(" * 1000 + "T" + ")" * 1000, "~" * 600 + "T"],
+        ids=["parentheses", "negations"],
+    )
+    def test_check_formula_nested_too_deeply(self, model_path, formula, capsys):
+        err = self.assert_usage_error(
+            ["check", "--model", str(model_path), "--formula", formula], capsys
+        )
+        assert "too deeply" in err
+
+    def test_axioms_depth_nests_too_deeply(self, capsys):
+        err = self.assert_usage_error(
+            ["axioms", "--trials", "2", "--depth", "400"], capsys
+        )
+        assert "--depth" in err
+
+    @pytest.mark.parametrize(
         "change",
         [
             {"worlds": [[1, 0], [0, 1]]},
@@ -436,10 +453,11 @@ class TestBadNumbers:
             {"plausibility": {"table": {"0": 1.0, "1": 2.0, "01": 5.0, "2": True}}},
             {"plausibility": {"table": {"0": 1.0, "1": "2", "2": 1.0}}},
             {"plausibility": {"table": {"0": float("inf"), "1": 1, "2": 1}}},
+            {"conditioned_on": [10**400, 0]},
         ],
         ids=["fractional_resolution", "bool_resolution", "fractional_counts",
              "table_key_beyond_worlds", "table_key_with_leading_zero",
-             "table_string_value", "table_infinite_value"],
+             "table_string_value", "table_infinite_value", "counts_past_float"],
     )
     def test_misread_model_numbers(self, tmp_path, change, capsys):
         path = tmp_path / "grid.json"

@@ -90,8 +90,17 @@ class TestParser:
         assert parse("~T", coin) == Not(TOP)
 
     def test_and_or_precedence(self, coin):
-        got = parse("T & ~T | T", coin)
-        assert got == Or(And(TOP, Not(TOP)), TOP)
+        a, b, c = lin([(1, "H")], "1/2"), lin([(1, "T")], "1/2"), TOP
+        cases = {
+            "T & ~T | T": Or(And(TOP, Not(TOP)), TOP),
+            f"{W_H_HALF} | {W_T_HALF} & T": Or(a, And(b, c)),
+            f"{W_H_HALF} & {W_T_HALF} | T": Or(And(a, b), c),
+            f"{W_H_HALF} | {W_T_HALF} | T": Or(Or(a, b), c),
+            f"{W_H_HALF} & {W_T_HALF} & T": And(And(a, b), c),
+            f"{W_H_HALF} -> {W_T_HALF} | T": implies(a, Or(b, c)),
+        }
+        for text, want in cases.items():
+            assert parse(text, coin) == want, text
 
     def test_implication_desugars(self, coin):
         assert parse("T -> ~T", coin) == implies(TOP, Not(TOP))
@@ -153,6 +162,11 @@ class TestParseErrors:
             parse("(T", coin)
         assert ")" in err.value.expected
 
+    def test_nests_too_deeply(self, coin):
+        assert parse("(" * 150 + "T" + ")" * 150, coin) == TOP
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse("(" * 1000 + "T" + ")" * 1000, coin)
+
 
 class TestPrinter:
     @pytest.mark.parametrize(
@@ -168,6 +182,11 @@ class TestPrinter:
             "[H,T] T",
             "[w(H) >= 1] K T",
             "T & T | T -> T",
+            "w(H) >= 1/2 | w(T) >= 1/2 & T",
+            "w(H) >= 1/2 & w(T) >= 1/2 | T",
+            "w(H) >= 1/2 | w(T) >= 1/2 | T",
+            "w(H) >= 1/2 & w(T) >= 1/2 & T",
+            "w(H) >= 1/2 -> w(T) >= 1/2 | T",
         ],
     )
     def test_roundtrip_examples(self, coin, text):

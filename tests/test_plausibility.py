@@ -13,6 +13,7 @@ from plausilearn import (
     condition,
     entropy_plausibility,
     init_state,
+    log_likelihood,
     make_alphabet,
     mass_function,
     observe,
@@ -26,7 +27,7 @@ from plausilearn.plausibility import (
     argmax_restricted,
     restrict_state,
 )
-from plausilearn.simplex import ObservationEvent, Proposition
+from plausilearn.simplex import AlphabetMismatchError, ObservationEvent, Proposition
 
 
 def shannon(ws):
@@ -133,6 +134,19 @@ class TestConditioning:
         assert argmax_worlds(huge).members == {3}
         assert huge.event.counts == (2**70, 1)
 
+    def test_count_past_float_range(self, coin, fair_coin):
+        state = init_state(simplex_grid(coin, 4), ENTROPY)
+        huge = ObservationEvent(coin, (10**400, 0))
+        with pytest.raises(ValueError, match="float range"):
+            condition(state, huge)
+        with pytest.raises(ValueError, match="float range"):
+            log_likelihood(fair_coin, huge)
+
+    def test_event_over_other_alphabet(self, coin_grid, urn):
+        state = init_state(coin_grid, ENTROPY)
+        with pytest.raises(AlphabetMismatchError):
+            condition(state, observe(urn, ["R"]))
+
     def test_empty_event_is_identity(self, coin_grid):
         state = init_state(coin_grid, ENTROPY)
         conditioned = condition(state, observe(state.worlds[0].alphabet, []))
@@ -191,6 +205,15 @@ class TestConditioning:
                 assert got == base + total
 
 
+def branchy_argmax_mask(values, within):
+    """`_argmax_mask` as it was, with its own branch for an empty `within`:
+    the reference."""
+    best = np.zeros(len(values), dtype=bool)
+    if within.any():
+        best[within] = plausibility._tie_mask(values[within])
+    return best
+
+
 class TestArgmax:
     def test_all_ones_total_tie(self, coin_grid):
         state = init_state(coin_grid, tabulated([1.0] * 11))
@@ -232,6 +255,18 @@ class TestArgmax:
     def test_restricted_to_empty_is_empty(self, coin_grid):
         state = init_state(coin_grid, ENTROPY)
         assert argmax_restricted(state, Proposition.of([])).members == set()
+
+    @settings(max_examples=300)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_argmax_mask_matches_branchy_reference(self, data, n):
+        # Near ties at 1e-10 relative sit inside TIE_TOLERANCE, at 1e-8 outside.
+        value = st.sampled_from([-math.inf, 0.0, -1.0, 1.0, 1 + 1e-10, 1 + 1e-8])
+        values = np.array(data.draw(st.lists(
+            value | st.floats(-50, 50), min_size=n, max_size=n)))
+        within = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        for mask in (within, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)):
+            got = plausibility._argmax_mask(values, mask)
+            assert np.array_equal(got, branchy_argmax_mask(values, mask))
 
     def test_tie_tolerance_is_read_at_every_tie_decision(
         self, coin, coin_grid, monkeypatch

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plausilearn import (
+    condition,
     epsilon_ball,
     euclidean_distance,
     event_concat,
+    init_state,
     log_likelihood,
     make_alphabet,
     mass_function,
@@ -17,6 +19,7 @@ from plausilearn import (
     parse_event,
     sample_stream,
     simplex_grid,
+    tabulated,
 )
 from plausilearn.simplex import (
     AlphabetMismatchError,
@@ -270,6 +273,34 @@ class TestLogLikelihood:
             log_likelihood(mu, eb)
         )
         assert combined == pytest.approx(separate, rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def fraction_loop(mu, e):
+        """The per-world loop that computed the likelihood before the
+        conditioning kernel did: the reference."""
+        total = 0.0
+        for c, w in zip(e.counts, mu.weights):
+            if c == 0:
+                continue
+            if w == 0:
+                return -math.inf
+            total += c * math.log(w)
+        return total
+
+    @settings(max_examples=300)
+    @given(data=st.data(), n=st.integers(2, 5))
+    def test_kernel_matches_fraction_loop(self, data, n):
+        from plausilearn.simplex import ObservationEvent
+
+        al = make_alphabet([f"o{i}" for i in range(n)])
+        mu = mass_function(al, data.draw(weights_strategy(n)))
+        count = st.just(0) | st.integers(0, 2**60)
+        counts = data.draw(st.lists(count, min_size=n, max_size=n))
+        e = ObservationEvent(al, tuple(counts))
+        got = log_likelihood(mu, e)
+        assert got.hex() == self.fraction_loop(mu, e).hex()
+        one_world = condition(init_state([mu], tabulated([1.0])), e)
+        assert one_world.log_values[0].hex() == got.hex()
 
 
 class TestStreams:
