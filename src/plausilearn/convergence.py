@@ -6,27 +6,36 @@ after which belief stays inside the epsilon-ball around the truth for the
 rest of the horizon.  This finite-horizon settling time is the testable
 surrogate for the almost-sure "eventually stays close" guarantee.
 
+A trial screens its horizon in blocks.  No world's log value ever rises
+(log weights are at most 0 and counts only grow), so a world whose value
+before a block is already below the leader's value at the block's end, by
+twice the tie tolerance, cannot tie the maximum inside the block; only the
+other worlds get a value at every step.  The argument is in `run_trial`.
+
 A Bayesian learner over the same finite world set (uniform prior, ball
 posterior above `BASELINE_THRESHOLD`) is available as a paired baseline.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import plausibility
 from .plausibility import (
     PlausibilityFn,
     _log_plausibilities,
     _tie_mask,
+    _ties,
     init_state,
 )
 from .simplex import (
     MassFunction,
+    _distances,
     epsilon_ball,
-    euclidean_distance,
     sample_stream,
 )
 
@@ -58,17 +67,14 @@ class TrialConfig:
 
     def resolved_epsilon(self) -> float:
         if self.epsilon is not None:
-            if self.epsilon <= 0:
+            if not self.epsilon > 0:
                 raise ValueError("epsilon must be positive")
             return self.epsilon
-        others = [
-            euclidean_distance(self.truth, w)
-            for w in self.worlds
-            if w != self.truth
-        ]
-        if not others:
+        others = _distances(self.truth, self.worlds)[
+            [w != self.truth for w in self.worlds]]
+        if not others.size:
             return 1.0
-        return min(others) / 2
+        return float(others.min()) / 2
 
 
 @dataclass
@@ -102,9 +108,12 @@ class ExperimentSummary:
         return out
 
 
-#: Cells (rows x worlds) of one block of the whole-horizon kernel: the
-#: horizon is processed this many cells at a time to bound memory.
+#: Cells (rows x worlds) of one block of the whole-horizon kernel: rows are
+#: computed at most this many cells (or one row) at a time to bound memory.
 _BLOCK_CELLS = 2**14
+
+#: Fewest steps per block of `run_trial`'s screen (see its docstring).
+_SCREEN_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -136,17 +145,26 @@ def _share(cfg: TrialConfig) -> _Shared:
     )
 
 
-def _blocks(shared: _Shared, stream, base_log: np.ndarray):
-    """Log values over the whole horizon in row blocks, worlds in `order`:
-    row m is conditioned on the first m + 1 observations."""
-    worlds, outcomes = shared.log_weights.shape
-    rows = max(1, _BLOCK_CELLS // worlds)
-    draws = np.asarray(stream.outcomes)
-    unit = np.eye(outcomes, dtype=np.int64)
-    counts = np.zeros((1, outcomes), dtype=np.int64)
-    for start in range(0, len(draws), rows):
-        counts = unit[draws[start:start + rows]].cumsum(axis=0) + counts[-1]
-        yield _log_plausibilities(base_log, shared.log_weights, counts)
+def _cumulative_counts(stream) -> np.ndarray:
+    """Row m: the counts of each outcome among the first m + 1 observations."""
+    unit = np.eye(stream.alphabet.size, dtype=np.int64)
+    return unit[np.asarray(stream.outcomes)].cumsum(axis=0)
+
+
+def _blocks(base_log: np.ndarray, log_weights: np.ndarray, counts: np.ndarray):
+    """The kernel's values for each row of `counts`, in blocks of rows of
+    at most `_BLOCK_CELLS` cells (or of one row)."""
+    rows = max(1, _BLOCK_CELLS // len(base_log))
+    for start in range(0, len(counts), rows):
+        yield _log_plausibilities(base_log, log_weights, counts[start:start + rows])
+
+
+def _screen_steps(worlds: int) -> int:
+    """Steps per block of `run_trial`'s screen over `worlds` worlds: at
+    least `_SCREEN_STEPS`, and as many rows of every world as one kernel
+    block holds, so a small world set pays the screen's per-block cost no
+    more often than the unscreened loop pays a kernel call."""
+    return max(_SCREEN_STEPS, _BLOCK_CELLS // worlds)
 
 
 def _settled(fails: list[np.ndarray], horizon: int, final_argmax, trace=None):
@@ -167,6 +185,23 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
     bit-identical to conditioning one observation at a time.  A step fails
     when the most plausible world outside the ball ties the maximum.
     `run_experiment` passes `shared`, computed once for all its trials.
+
+    The horizon is screened in blocks of `_screen_steps` steps: values are
+    computed for every world only at each block's last step, and for every
+    step of a block only for the worlds that could tie in it.  A world's
+    value never rises from one step to the next: its log weights are at
+    most 0, counts only grow, each of the kernel's terms is monotone in its
+    count and round-to-nearest addition is monotone.  So inside a block a
+    world is at most its value v0 before the block, and the maximum is at
+    least the leader's value L at the block's end.  The tie test
+    best - v <= tol * max(1, |v|, |best|) only gets harder as v falls or
+    best rises (tol < 1), so a world with L - v0 > 2 * tol * max(1, |v0|,
+    |L|) cannot tie anywhere in the block; the factor 2 leaves a margin of
+    tol * max(...), far above the rounding of either test.  When L is -inf
+    every world is kept; otherwise a world at -inf before it is dropped.
+    Dropping such worlds changes no tie set, and a maximal world at any
+    step is at least L before the block, so it is kept and the maxima
+    inside and outside the ball decide each step as before.
     """
     shared = shared or _share(cfg)
     if shared.truth_base is None:
@@ -178,17 +213,31 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
     if cfg.horizon < 1:
         return TrialResult(False, None, frozenset())
 
-    stream = sample_stream(cfg.truth, cfg.horizon, cfg.seed)
+    counts = _cumulative_counts(sample_stream(cfg.truth, cfg.horizon, cfg.seed))
+    steps = _screen_steps(len(shared.order))
+    ends = np.append(np.arange(steps - 1, cfg.horizon - 1, steps), cfg.horizon - 1)
+    end_rows = itertools.chain.from_iterable(
+        _blocks(shared.base_log, shared.log_weights, counts[ends]))
     trace: list[frozenset[int]] | None = [] if cfg.record_trace else None
-    fails = []
-    for values in _blocks(shared, stream, shared.base_log):
-        best_in = values[:, :shared.inside].max(axis=1, initial=-math.inf)
-        best_out = values[:, shared.inside:].max(axis=1, initial=-math.inf)
-        # The step fails when the best world outside the ball ties the best.
-        fails.append(_tie_mask(np.column_stack([best_in, best_out]))[:, 1])
-        if trace is not None:
-            trace.extend(shared.worlds_of(row) for row in _tie_mask(values))
-    return _settled(fails, cfg.horizon, shared.worlds_of(_tie_mask(values[-1])), trace)
+    best_in, best_out = [], []
+    before, start = shared.base_log, 0
+    for end, row in zip(ends.tolist(), end_rows):
+        kept = np.flatnonzero(
+            _ties(before, row.max(), 2 * plausibility.TIE_TOLERANCE))
+        # `kept` is sorted, so the kept worlds of the ball come first.
+        inside = np.searchsorted(kept, shared.inside)
+        worlds = shared.order[kept]
+        for values in _blocks(shared.base_log[kept], shared.log_weights[kept],
+                              counts[start:end + 1]):
+            best_in.append(values[:, :inside].max(axis=1, initial=-math.inf))
+            best_out.append(values[:, inside:].max(axis=1, initial=-math.inf))
+            if trace is not None:
+                trace.extend(frozenset(worlds[ties].tolist()) for ties in _tie_mask(values))
+        before, start = row, end + 1
+    # A step fails when the best world outside the ball ties the best.
+    best = np.column_stack([np.concatenate(best_in), np.concatenate(best_out)])
+    return _settled([_tie_mask(best)[:, 1]], cfg.horizon,
+                    shared.worlds_of(_tie_mask(row)), trace)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -225,10 +274,10 @@ def bayesian_baseline_trial(
     if cfg.horizon < 1:
         return TrialResult(False, None, frozenset())
 
-    stream = sample_stream(cfg.truth, cfg.horizon, cfg.seed)
+    counts = _cumulative_counts(sample_stream(cfg.truth, cfg.horizon, cfg.seed))
     prior = np.full(len(shared.order), -math.log(len(shared.order)))
     fails = []
-    for log_post in _blocks(shared, stream, prior):
+    for log_post in _blocks(prior, shared.log_weights, counts):
         norm = _logsumexp_rows(log_post)
         with np.errstate(invalid="ignore"):
             ball_mass = np.exp(_logsumexp_rows(log_post[:, :shared.inside]) - norm)

@@ -176,17 +176,24 @@ def _log_plausibilities(
 _INT64_MAX = 2**63 - 1
 
 
+def _ties(values: np.ndarray, best, tolerance: float) -> np.ndarray:
+    """Mask of the entries of `values` that tie `best` (broadcast against
+    them) within the relative `tolerance`, or exceed it; all True where
+    `best` is -inf."""
+    # The test is |v - best| <= tol * max(1, |v|, |best|); for v <= best,
+    # |v - best| is best - v and max(|v|, |best|) is max(-v, best), exactly.
+    # For v > best the left side is negative, so the test holds.
+    with np.errstate(invalid="ignore"):  # -inf - -inf where best is -inf
+        ties = (values > -math.inf) & (
+            best - values <= tolerance * np.maximum(np.maximum(best, 1.0), -values)
+        )
+    return ties | (best == -math.inf)
+
+
 def _tie_mask(values: np.ndarray) -> np.ndarray:
     """Row-wise mask of the entries within `TIE_TOLERANCE` of their row's
     maximum; all True in a row of -inf, where every world is maximal."""
-    best = values.max(axis=-1, keepdims=True)
-    # The test is |v - best| <= tol * max(1, |v|, |best|); as v <= best,
-    # |v - best| is best - v and max(|v|, |best|) is max(-v, best), exactly.
-    with np.errstate(invalid="ignore"):  # -inf - -inf in a row of -inf
-        ties = (values > -math.inf) & (
-            best - values <= TIE_TOLERANCE * np.maximum(np.maximum(best, 1.0), -values)
-        )
-    return ties | (best == -math.inf)
+    return _ties(values, values.max(axis=-1, keepdims=True), TIE_TOLERANCE)
 
 
 def _argmax_mask(values: np.ndarray, within: np.ndarray) -> np.ndarray:

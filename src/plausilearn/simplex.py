@@ -143,13 +143,31 @@ def simplex_grid(alphabet: OutcomeAlphabet, resolution: int) -> list[MassFunctio
     ]
 
 
+def _distances(center: MassFunction, worlds) -> np.ndarray:
+    """Euclidean distance from `center` to each of `worlds`.
+
+    Each coordinate's squared difference comes from a table over the
+    distinct values of that coordinate: float(c - v) ** 2, the difference
+    exact (an integer cross product over the product of the denominators,
+    which int division rounds once, as float of a `Fraction` does).  The
+    coordinates are summed left to right and the square root taken last.
+    """
+    alphabet = center.alphabet
+    if any(w.alphabet is not alphabet and w.alphabet != alphabet for w in worlds):
+        raise AlphabetMismatchError("mass functions over different alphabets")
+    ratios = [x.as_integer_ratio() for w in worlds for x in w.weights]
+    total = np.zeros(len(worlds))
+    for j, c in enumerate(center.weights):
+        p, q = c.as_integer_ratio()
+        column = ratios[j::alphabet.size]
+        table = {(n, d): ((p * d - n * q) / (q * d)) ** 2 for n, d in set(column)}
+        total += [table[v] for v in column]
+    return np.sqrt(total)
+
+
 def euclidean_distance(mu: MassFunction, nu: MassFunction) -> float:
     """Euclidean distance between two simplex points over the same alphabet."""
-    if mu.alphabet != nu.alphabet:
-        raise AlphabetMismatchError("mass functions over different alphabets")
-    return math.sqrt(
-        sum(float(a - b) ** 2 for a, b in zip(mu.weights, nu.weights))
-    )
+    return float(_distances(mu, [nu])[0])
 
 
 @dataclass(frozen=True)
@@ -173,11 +191,9 @@ def epsilon_ball(
     center: MassFunction, eps: float, worlds: list[MassFunction]
 ) -> Proposition:
     """Indices of worlds strictly within distance `eps` of `center`."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    return Proposition.of(
-        i for i, w in enumerate(worlds) if euclidean_distance(center, w) < eps
-    )
+    return Proposition.of(np.flatnonzero(_distances(center, worlds) < eps).tolist())
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,37 @@ class TestSimulate:
         assert rows[0] == ["trial", "settled", "settle_time", "baseline_settle_time"]
         assert len(rows) == 5
 
+    @pytest.mark.parametrize(
+        "grid, extra, stdout_digest, csv_digest",
+        [
+            # The README command.
+            (["H,T", "10"], ["--truth", "7/10,3/10", "--eps", "0.08", "--horizon",
+             "2000", "--trials", "100", "--seed", "7", "--baseline"],
+             "79b5ce3d37f6758b", "6a275f928ce474aa"),
+            (["R,B,G", "30"], ["--truth", "1/2,3/10,1/5", "--eps", "0.15",
+             "--horizon", "2000", "--trials", "10", "--seed", "3"],
+             "ab7ac0b6df7a95ca", "76f5b0b123fa24f4"),
+            # Isolation mode: no --eps.
+            (["R,B,G", "12"], ["--truth", "1/2,1/4,1/4", "--horizon", "3000",
+             "--trials", "10", "--seed", "5"],
+             "673b8b63de26d204", "fc488078bd96831f"),
+        ],
+        ids=["readme_coin", "urn_30", "isolation"],
+    )
+    def test_pinned_output(
+        self, tmp_path, grid, extra, stdout_digest, csv_digest, capsys
+    ):
+        alphabet, resolution = grid
+        path, trace = tmp_path / "m.json", tmp_path / "trace.csv"
+        assert run(["grid", "--alphabet", alphabet, "--resolution", resolution,
+                    "--plausibility", "entropy", "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["simulate", "--model", str(path), "--trace", str(trace)]
+                   + extra) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == stdout_digest
+        assert hashlib.sha256(trace.read_bytes()).hexdigest()[:16] == csv_digest
+
     def test_truth_not_world_exit_two(self, model_path, capsys):
         code = run(
             [

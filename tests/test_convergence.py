@@ -1,10 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from plausilearn import (
@@ -25,12 +27,16 @@ from plausilearn import (
     tabulated,
     trial_seeds,
 )
+from plausilearn import convergence
 from plausilearn.convergence import (
-    _BLOCK_CELLS,
     TruthNotInWorldsError,
     ZeroPlausibilityTruthError,
+    _blocks,
     _logsumexp_rows,
+    _screen_steps,
+    _share,
 )
+from plausilearn.plausibility import _tie_mask
 from plausilearn.simplex import ObservationEvent
 
 
@@ -82,6 +88,25 @@ class TestResolvedEpsilon:
         )
         with pytest.raises(ValueError):
             cfg.resolved_epsilon()
+
+    def test_nan_epsilon_rejected(self, three_coins):
+        # NaN fails every comparison: accepted, it would make the ball
+        # empty and every trial silently never settle.
+        cfg = coin_config(
+            three_coins[0].alphabet, three_coins, three_coins[1], 10,
+            epsilon=math.nan,
+        )
+        with pytest.raises(ValueError):
+            cfg.resolved_epsilon()
+        with pytest.raises(ValueError):
+            run_trial(cfg)
+
+    def test_isolation_radius_on_urn_grid(self, urn):
+        grid = simplex_grid(urn, 12)
+        truth = mass_function(urn, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+        cfg = TrialConfig(tuple(grid), ENTROPY, truth, 10, 0)
+        # A neighbour on the grid moves 1/12 from one coordinate to another.
+        assert cfg.resolved_epsilon() == math.sqrt(2 * (1 / 12) ** 2) / 2
 
     def test_singleton_world_set(self, coin, fair_coin):
         cfg = coin_config(coin, [fair_coin], fair_coin, 10)
@@ -205,7 +230,8 @@ class TestWholeHorizonKernel:
     @pytest.mark.parametrize("case", sorted(whole_horizon_cases()))
     def test_every_step_matches_step_by_step(self, case):
         worlds, fn, truth, horizon, eps = whole_horizon_cases()[case]
-        assert horizon >= 3 * (_BLOCK_CELLS // len(worlds))  # three blocks
+        # Three screened blocks and a partial one.
+        assert horizon > 3 * _screen_steps(len(worlds))
         cfg = TrialConfig(
             worlds=tuple(worlds),
             plausibility=fn,
@@ -234,6 +260,128 @@ class TestWholeHorizonKernel:
         settled = last_failure < horizon
         assert result.settled == settled
         assert result.settle_time == (last_failure + 1 if settled else None)
+
+
+def unscreened_trial(cfg):
+    """`run_trial` without its screen: every world's value at every step,
+    the loop it replaced, kept as the reference.  Returns (settled,
+    settle time, final argmax, trace)."""
+    shared = _share(cfg)
+    stream = sample_stream(cfg.truth, cfg.horizon, cfg.seed)
+    counts = np.cumsum(np.eye(len(cfg.truth.weights), dtype=np.int64)[
+        list(stream.outcomes)], axis=0)
+    trace, fails = [], []
+    for values in _blocks(shared.base_log, shared.log_weights, counts):
+        best_in = values[:, :shared.inside].max(axis=1, initial=-math.inf)
+        best_out = values[:, shared.inside:].max(axis=1, initial=-math.inf)
+        fails.append(_tie_mask(np.column_stack([best_in, best_out]))[:, 1])
+        trace.extend(shared.worlds_of(row) for row in _tie_mask(values))
+    failing = np.flatnonzero(np.concatenate(fails))
+    last_failure = int(failing[-1]) + 1 if failing.size else 0
+    settled = last_failure < cfg.horizon
+    final = shared.worlds_of(_tie_mask(values[-1]))
+    return settled, last_failure + 1 if settled else None, final, trace
+
+
+@st.composite
+def screened_cases(draw):
+    outcomes = draw(st.integers(2, 4))
+    alphabet = make_alphabet([f"o{i}" for i in range(outcomes)])
+    resolution = draw(st.integers(outcomes, {2: 25, 3: 25, 4: 12}[outcomes]))
+    worlds = simplex_grid(alphabet, resolution)
+    kind = draw(st.sampled_from(["entropy", "centre_of_mass", "tabulated"]))
+    if kind == "tabulated":
+        # Few distinct values, zeros among them: exact ties and -inf rows.
+        values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.0]),
+                               min_size=len(worlds), max_size=len(worlds)))
+        fn = tabulated(values)
+    else:
+        fn = ENTROPY if kind == "entropy" else CENTRE_OF_MASS
+    plausible = [w for w, v in zip(worlds, fn.values_for(tuple(worlds))) if v > 0]
+    assume(plausible)
+    truth = draw(st.sampled_from(plausible))
+    # Small `_BLOCK_CELLS` split the block-end rows into several chunks.
+    cells = draw(st.sampled_from([64, 4096, 2**14]))
+    with mock.patch.object(convergence, "_BLOCK_CELLS", cells):
+        steps = _screen_steps(len(worlds))
+    blocks = draw(st.integers(0, 5))
+    horizon = draw(st.one_of(
+        st.integers(1, steps - 1),  # shorter than one block
+        st.just(max(1, blocks) * steps),  # whole blocks
+        st.integers(1, steps - 1).map(lambda r: blocks * steps + r),
+    ))
+    eps = draw(st.one_of(st.none(), st.floats(0.02, 0.6)))
+    cfg = TrialConfig(tuple(worlds), fn, truth, horizon, draw(st.integers(0, 2**32)),
+                      eps, record_trace=True)
+    return cfg, cells
+
+
+class TestScreen:
+    """The screened `run_trial` against the unscreened loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=screened_cases())
+    def test_matches_unscreened(self, case):
+        cfg, cells = case
+        with mock.patch.object(convergence, "_BLOCK_CELLS", cells):
+            expected = unscreened_trial(cfg)
+            result = run_trial(cfg)
+        assert result.settled == expected[0]
+        assert result.settle_time == expected[1]
+        assert result.final_argmax == expected[2]
+        assert result.belief_trace == expected[3]
+
+    def test_keeps_a_world_tied_within_the_tolerance(self, coin):
+        # Under an all-heads stream the two copies of the vertex (1, 0) never
+        # lose value, so the second one stays 1e-10 below the leader for the
+        # whole horizon: it is tied at every step although its value before
+        # each block is below the leader's value at the block's end.
+        vertex = mass_function(coin, [1, 0])
+        worlds = (vertex, vertex, mass_function(coin, [Fraction(1, 2)] * 2))
+        cfg = TrialConfig(worlds, tabulated([1.0 + 1e-10, 1.0, 1.0]), vertex,
+                          2 * _screen_steps(len(worlds)) + 1, 0, 0.1,
+                          record_trace=True)
+        result = run_trial(cfg)
+        assert result.belief_trace == [frozenset({0, 1})] * cfg.horizon
+        assert (result.settled, result.settle_time) == (True, 1)
+
+
+def centre_of_mass_argmax(worlds, resolution, counts):
+    """Exact argmax under CENTRE_OF_MASS on grid worlds k/N after `counts`:
+    plausibility times likelihood is prod (k_i / N) ** (1 + n_i), so the
+    maximal worlds maximise the integer prod k_i ** (1 + n_i)."""
+    scores = [
+        math.prod(int(w * resolution) ** (1 + n) for w, n in zip(world.weights, counts))
+        for world in worlds
+    ]
+    top = max(scores)
+    return frozenset(i for i, score in enumerate(scores) if score == top)
+
+
+class TestCentreOfMassOracle:
+    @pytest.mark.parametrize("names, resolution, weights", [
+        (["H", "T"], 20, (13, 7)),
+        (["R", "B", "G"], 12, (6, 4, 2)),
+        (["R", "B", "G"], 15, (5, 5, 5)),
+        (["a", "b", "c", "d"], 8, (3, 2, 2, 1)),
+    ])
+    def test_argmax_is_the_exact_integer_maximum(self, names, resolution, weights):
+        alphabet = make_alphabet(names)
+        worlds = simplex_grid(alphabet, resolution)
+        truth = mass_function(alphabet, [Fraction(k, resolution) for k in weights])
+        model = init_state(worlds, CENTRE_OF_MASS)
+        horizon = 2 * _screen_steps(len(worlds)) + 17
+        for seed in trial_seeds(11, 4):
+            cfg = TrialConfig(tuple(worlds), CENTRE_OF_MASS, truth, horizon, seed,
+                              record_trace=True)
+            trace = run_trial(cfg).belief_trace
+            stream = sample_stream(truth, horizon, seed)
+            for step in range(0, horizon, 7):
+                counts = stream.prefix_event(step + 1).counts
+                expected = centre_of_mass_argmax(worlds, resolution, counts)
+                event = ObservationEvent(alphabet, counts)
+                assert argmax_worlds(condition(model, event)).members == expected
+                assert trace[step] == expected
 
 
 def sequential_baseline(cfg, threshold=0.95):

@@ -165,6 +165,40 @@ class TestDistanceAndBalls:
             <= euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-12
         )
 
+    @settings(max_examples=100)
+    @given(data=st.data(), n=st.integers(2, 5))
+    def test_tables_match_the_pairwise_sum(self, data, n):
+        # The distance of each world from tables over distinct values, as
+        # float(c - v) ** 2 summed left to right before the square root.
+        al = make_alphabet([f"o{i}" for i in range(n)])
+        center = mass_function(al, data.draw(weights_strategy(n)))
+        worlds = [mass_function(al, w) for w in data.draw(
+            st.lists(weights_strategy(n), min_size=1, max_size=30))]
+        eps = data.draw(st.floats(0.01, 1.5))
+
+        def pairwise(mu):
+            total = 0.0
+            for a, b in zip(center.weights, mu.weights):
+                total += float(a - b) ** 2
+            return math.sqrt(total)
+
+        assert [euclidean_distance(center, w) for w in worlds] == [
+            pairwise(w) for w in worlds
+        ]
+        assert epsilon_ball(center, eps, worlds).members == {
+            i for i, w in enumerate(worlds) if pairwise(w) < eps
+        }
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan])
+    def test_ball_radius_must_be_positive(self, coin_grid, fair_coin, eps):
+        # NaN fails every comparison, so it would give an empty ball.
+        with pytest.raises(ValueError):
+            epsilon_ball(fair_coin, eps, coin_grid)
+
+    def test_ball_alphabet_mismatch(self, coin_grid, urn):
+        with pytest.raises(AlphabetMismatchError):
+            epsilon_ball(mass_function(urn, [Fraction(1, 3)] * 3), 0.5, coin_grid)
+
     def test_ball_covering_everything(self, coin_grid, fair_coin):
         ball = epsilon_ball(fair_coin, 10.0, coin_grid)
         assert ball.members == set(range(11))
