@@ -241,21 +241,34 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """ln(sum(exp(row))) of each row of `a`, float operation for float
-    operation as scipy 1.17's `logsumexp(a, axis=1)`: the maxima of a row
-    are taken out of its sum, and where that gives no finite result the
-    plain ln(sum(exp)) stands instead.  A row with no entries gives -inf."""
+    """ln(sum(exp(row))) of each row of `a`, with the floats of scipy
+    1.17's `logsumexp(a, axis=1)`.
+
+    Shared with scipy, operation for operation: the row's maximum `top`,
+    the number t of entries equal to it, the sum r of exp(x - top) over the
+    other entries, r / t where r is not 0, and log1p(r / t) + log(t) + top.
+    scipy gets the top entries' terms as exp(-inf - top); here each entry
+    is exponentiated once and those terms are set to 0, the same value
+    wherever `top` is finite.  A row whose `top` is not finite (all -inf,
+    or holding inf or NaN) gives no finite result either way; for those
+    rows alone the plain ln(sum(exp(row))) stands, which is scipy's
+    fallback.  A row with no entries gives -inf."""
     if a.shape[1] == 0:
         return np.full(a.shape[0], -math.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = np.log(np.exp(a).sum(axis=1))
         top = a.max(axis=1, keepdims=True)
         is_top = a == top
         tops = is_top.sum(axis=1, dtype=a.dtype)
-        rest = np.exp(np.where(is_top, -math.inf, a) - top).sum(axis=1)
+        terms = a - top
+        np.exp(terms, out=terms)
+        np.copyto(terms, 0.0, where=is_top)
+        rest = terms.sum(axis=1)
         rest = np.where(rest == 0, rest, rest / tops)
         out = np.log1p(rest) + np.log(tops) + top[:, 0]
-    return np.where(np.isfinite(out), out, direct)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
 
 
 #: Ball posterior mass above which the Bayesian baseline has settled.

@@ -284,10 +284,9 @@ def sample_stream(truth: MassFunction, length: int, seed: int) -> ObservationStr
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)
-    positive = [i for i, w in enumerate(truth.weights) if w > 0]
+    positive = np.array([i for i, w in enumerate(truth.weights) if w > 0])
     probs = np.array([float(truth.weights[i]) for i in positive])
     probs = probs / probs.sum()
     draws = rng.choice(len(positive), size=length, p=probs)
-    outcomes = tuple(positive[int(d)] for d in draws)
-    return ObservationStream(truth.alphabet, outcomes, seed)
+    return ObservationStream(truth.alphabet, tuple(positive[draws].tolist()), seed)
 

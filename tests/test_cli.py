@@ -272,12 +272,17 @@ class TestSimulate:
             (["R,B,G", "30"], ["--truth", "1/2,3/10,1/5", "--eps", "0.15",
              "--horizon", "2000", "--trials", "10", "--seed", "3"],
              "ab7ac0b6df7a95ca", "76f5b0b123fa24f4"),
+            # The baseline on the benchmark's grid: blocks of few rows and
+            # many worlds, where the coin grid has many rows and few worlds.
+            (["R,B,G", "30"], ["--truth", "1/2,3/10,1/5", "--eps", "0.15",
+             "--horizon", "2000", "--trials", "10", "--seed", "3", "--baseline"],
+             "ff447efe665ac9a4", "15b4535bf9fb59e1"),
             # Isolation mode: no --eps.
             (["R,B,G", "12"], ["--truth", "1/2,1/4,1/4", "--horizon", "3000",
              "--trials", "10", "--seed", "5"],
              "673b8b63de26d204", "fc488078bd96831f"),
         ],
-        ids=["readme_coin", "urn_30", "isolation"],
+        ids=["readme_coin", "urn_30", "urn_30_baseline", "isolation"],
     )
     def test_pinned_output(
         self, tmp_path, grid, extra, stdout_digest, csv_digest, capsys

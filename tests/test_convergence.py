@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 from plausilearn import (
@@ -414,6 +415,47 @@ def sequential_baseline(cfg, threshold=0.95):
     return settled, last_failure + 1 if settled else None, final_map
 
 
+def reference_logsumexp_rows(a):
+    """`_logsumexp_rows` as first written, scipy 1.17's float operations
+    over the whole block: the plain ln(sum(exp)) of every row, and the
+    top entries taken out of the sum by setting them to -inf."""
+    if a.shape[1] == 0:
+        return np.full(a.shape[0], -math.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.exp(a).sum(axis=1))
+        top = a.max(axis=1, keepdims=True)
+        is_top = a == top
+        tops = is_top.sum(axis=1, dtype=a.dtype)
+        rest = np.exp(np.where(is_top, -math.inf, a) - top).sum(axis=1)
+        rest = np.where(rest == 0, rest, rest / tops)
+        out = np.log1p(rest) + np.log(tops) + top[:, 0]
+    return np.where(np.isfinite(out), out, direct)
+
+
+@st.composite
+def logsumexp_blocks(draw):
+    """A block of log values, shaped like the baseline's blocks or smaller,
+    spanning the range where exp underflows to subnormals and to 0, with
+    all -inf rows, tied maxima, entries near the largest float, and inf and
+    NaN entries, which leave the stabilised result not finite."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 60))
+    shift = draw(st.sampled_from([0.0, -1e4, -1e6]))
+    # exp(x - top) is subnormal for x - top in about [-745, -708].
+    elements = st.one_of(st.floats(-1500, 10), st.floats(-760, -700))
+    a = draw(hnp.arrays(np.float64, (rows, cols), elements=elements)) + shift
+    special = st.sampled_from([-math.inf, math.inf, math.nan, 1.7e308])
+    for row, col, value in draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, cols - 1), special),
+            max_size=3)):
+        a[row, col] = value
+    for row in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+        a[row] = -math.inf
+    for row, col in draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, cols - 1)), max_size=4)):
+        a[row, col] = a[row].max()
+    return a, draw(st.integers(0, cols))
+
+
 class TestBaseline:
     def test_settles_on_easy_problem(self, three_coins):
         cfg = coin_config(
@@ -465,6 +507,17 @@ class TestBaseline:
                     assert np.array_equal(got.view(np.int64), want.view(np.int64))
                 else:
                     np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=logsumexp_blocks())
+    def test_logsumexp_rows_matches_reference(self, case):
+        # Bit-identical to the formula it replaced, on whole blocks, the
+        # ball's column slices and zero-width slices.
+        a, cut = case
+        for block in (a, a[:, :cut], a[:, :0]):
+            want = reference_logsumexp_rows(block)
+            got = _logsumexp_rows(block)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_shares_stream_with_plausibilist(self, three_coins):
         cfg = coin_config(

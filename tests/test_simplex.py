@@ -353,6 +353,12 @@ class TestStreams:
         stream = sample_stream(mu, 5000, seed=1)
         assert 1 not in set(stream.outcomes)
 
+    def test_outcomes_are_python_ints_indexing_the_alphabet(self, urn):
+        mu = mass_function(urn, [Fraction(1, 2), 0, Fraction(1, 2)])
+        stream = sample_stream(mu, 200, seed=1)
+        assert {type(i) for i in stream.outcomes} == {int}
+        assert set(stream.outcomes) == {0, 2}
+
     def test_empirical_frequency_near_truth(self, coin, fair_coin):
         # binomial tail: at n=1e5 a 0.01 deviation is > 6 sigma, so nearly
         # every seed must land inside the window
