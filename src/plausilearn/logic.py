@@ -38,14 +38,15 @@ Model checking labels every subformula with its extension, bottom up
 (Clarke, Grumberg & Peled, *Model Checking*), under the conditional-belief
 and update semantics of Baltag & Smets (2008).  Each entry point compiles
 its formula once into a DAG in which structurally equal subformulas share
-one node, so each is evaluated once per model.  A linear atom is decided
-for every world at once, exactly, by one integer dot product with the
-world weights over their common denominator.
+one node, so each is evaluated once in each state that updates reach.  A
+linear atom is decided once, for every world at once, exactly, by one
+integer dot product with the world weights over their common denominator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 from dataclasses import asdict, dataclass, field
@@ -53,13 +54,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .doxastic import update_proposition, update_sampling
+from .doxastic import update_sampling
 from .plausibility import (
     Model,
     _INT64_MAX,
     _argmax_mask,
-    _tie_mask,
-    condition,
+    _float_counts,
+    _log_plausibilities,
     init_state,
     tabulated,
 )
@@ -67,6 +68,7 @@ from .simplex import (
     ObservationEvent,
     Proposition,
     UnknownOutcomeError,
+    event_concat,
     make_alphabet,
     observe,
     simplex_grid,
@@ -423,19 +425,8 @@ class _Parser:
 
 def _desugar_lin(terms, bound: Fraction, rel: str) -> Formula:
     ge = LinIneq(terms, bound)
-    neg_terms = tuple((-a, o) for a, o in terms)
-    le = LinIneq(neg_terms, -bound)
-    if rel == ">=":
-        return ge
-    if rel == "<=":
-        return le
-    if rel == "=":
-        return And(ge, le)
-    if rel == ">":
-        return Not(le)
-    if rel == "<":
-        return Not(ge)
-    raise AssertionError(rel)
+    le = LinIneq(tuple((-a, o) for a, o in terms), -bound)
+    return {">=": ge, "<=": le, "=": And(ge, le), ">": Not(le), "<": Not(ge)}[rel]
 
 
 def parse(text: str, alphabet) -> Formula:
@@ -525,10 +516,12 @@ def print_formula(node: Formula) -> str:
 # A compiled formula is a list of hash-consed nodes.  A node is a tuple of
 # its Formula class followed by the class's fields in declaration order,
 # each Formula field replaced by its child's integer node id: (And, l, r),
-# (DynObs, obs, body), (LinIneq, terms, bound).  A model is an integer handle
-# owned by the evaluator (the root is 0, each submodel an update builds is
-# appended), and an extension is a bool mask over the model's worlds; both
-# become objects only at the public boundary.
+# (DynObs, obs, body), (LinIneq, terms, bound).  Sampling changes only the
+# plausibilities and an announcement only drops worlds, so an update makes a
+# state of the root model: a domain, a bool mask over the root's worlds, and
+# the evidence.  A state is an integer handle owned by the evaluator (the root
+# is 0), and an extension is a bool mask over the root's worlds, read only in
+# its state's domain; both become objects only at the public boundary.
 
 
 @dataclass
@@ -561,13 +554,14 @@ def _decide_atom(model: Model, terms, bound: Fraction) -> np.ndarray:
 
 
 class _Evaluator:
-    """Extensions of compiled formulas in one root model and the submodels
-    its updates build."""
+    """Extensions of compiled formulas in the states of one root model."""
 
     def __init__(self, model: Model, skip_relativization: bool = False):
+        self.model = model
         self.skip_relativization = skip_relativization
-        self.models = [model]  # handle -> model
-        self.submodels: dict = {}  # (handle, update, event or proposition) -> handle
+        self.states, self.state_ids = [], {}  # handle -> (domain, event), and back
+        self._state(np.ones(len(model.worlds), dtype=bool), model.event)  # the root
+        self.values = {model.event: model.log_values}  # event -> log values
         self.nodes: list[tuple] = []  # node id -> (class, *fields)
         self.node_ids: dict = {}  # node -> node id
         self.labels: dict = {}  # (handle, node id) -> bool mask
@@ -599,7 +593,7 @@ class _Evaluator:
         return node_id
 
     def label(self, handle: int, node_id: int) -> np.ndarray:
-        """Extension of node `node_id` in model `handle`, as a bool mask.
+        """Extension of node `node_id` in state `handle`, as a bool mask.
         Masks are shared through the cache: never write to one."""
         key = (handle, node_id)
         mask = self.labels.get(key)
@@ -608,13 +602,12 @@ class _Evaluator:
         return mask
 
     def _compute(self, handle: int, node_id: int) -> np.ndarray:
-        model = self.models[handle]
-        n = len(model.worlds)
+        domain, event = self.states[handle]
         kind, *args = self.nodes[node_id]
         if kind is Top:
-            return np.ones(n, dtype=bool)
-        if kind is LinIneq:
-            return _decide_atom(model, *args)
+            return np.ones_like(domain)
+        if kind is LinIneq:  # the same in every state, so decided at the root
+            return self.label(0, node_id) if handle else _decide_atom(self.model, *args)
         if kind is Not:
             return ~self.label(handle, args[0])
         if kind is And:
@@ -622,65 +615,71 @@ class _Evaluator:
         if kind is Or:
             return self.label(handle, args[0]) | self.label(handle, args[1])
         if kind is K:
-            return np.full(n, self.label(handle, args[0]).all())
+            return np.full_like(domain, self.label(handle, args[0])[domain].all())
         if kind is BelCond:
             # Belief in the body among the most plausible cond-worlds;
             # vacuously true when there are none, and then the body is not
             # labelled at all.
-            best = _argmax_mask(model.log_values, self.label(handle, args[1]))
-            return np.full(n, not best.any() or self.label(handle, args[0])[best].all())
+            within = domain & self.label(handle, args[1])
+            best = _argmax_mask(self._values(event), within)
+            holds = not best.any() or self.label(handle, args[0])[best].all()
+            return np.full_like(domain, holds)
         if kind is BelObs:
-            event = observe(model.alphabet, args[1])
-            best = _tie_mask(condition(model, event).log_values)
-            return np.full(n, self.label(handle, args[0])[best].all())
+            best = _argmax_mask(self._values(self._after(event, args[1])), domain)
+            return np.full_like(domain, self.label(handle, args[0])[best].all())
         if kind is DynObs:
-            event = observe(model.alphabet, args[0])
-            # Sampling keeps the world set, so the mask carries over.
-            return self.label(self._submodel(handle, update_sampling, event), args[1])
+            return self.label(self._state(domain, self._after(event, args[0])), args[1])
         return self._announce(handle, args[0], args[1])
 
-    def _submodel(self, handle: int, update, arg) -> int:
-        """Handle of the model `update(model, arg)` builds from model
-        `handle`; `arg` is an ObservationEvent or a Proposition."""
-        key = (handle, update, arg)
-        sub = self.submodels.get(key)
-        if sub is None:
-            sub = self.submodels[key] = len(self.models)
-            self.models.append(update(self.models[handle], arg))
-        return sub
+    def _after(self, event: ObservationEvent, obs) -> ObservationEvent:
+        return event_concat(event, observe(self.model.alphabet, obs))
+
+    def _values(self, event: ObservationEvent) -> np.ndarray:
+        """Log-plausibilities of the root's worlds given `event`, computed by
+        the conditioning kernel once per event."""
+        if event not in self.values:
+            m = self.model
+            counts = _float_counts(event)
+            self.values[event] = _log_plausibilities(m.base_log, m.log_weights, counts)
+        return self.values[event]
+
+    def _state(self, domain: np.ndarray, event: ObservationEvent) -> int:
+        """Handle of the state (domain, event), however the updates reach it."""
+        key = (domain.tobytes(), event)
+        if key not in self.state_ids:
+            self.state_ids[key] = len(self.states)
+            self.states.append((domain, event))
+        return self.state_ids[key]
 
     def _announce(self, handle: int, ann_id: int, body_id: int) -> np.ndarray:
-        ann = self.label(handle, ann_id)
+        domain, event = self.states[handle]
+        ann = domain & self.label(handle, ann_id)
         if self.skip_relativization:
             # Deliberately broken semantics for mutation testing: evaluate
             # the body after the announcement regardless of whether the
-            # world satisfies it (keeping the world in the submodel).
-            out = np.empty_like(ann)
-            for i in range(len(ann)):
+            # world satisfies it (keeping the world in the domain).
+            out = np.zeros_like(ann)
+            for i in np.flatnonzero(domain):
                 kept = ann.copy()
                 kept[i] = True
-                arg = Proposition.of(np.flatnonzero(kept).tolist())
-                sub = self._submodel(handle, update_proposition, arg)
-                out[i] = self.label(sub, body_id)[np.count_nonzero(kept[:i])]
+                out[i] = self.label(self._state(kept, event), body_id)[i]
             return out
-        out = ~ann
-        if ann.any():
-            arg = Proposition.of(np.flatnonzero(ann).tolist())
-            sub = self._submodel(handle, update_proposition, arg)
-            # The k-th world of the submodel is the k-th announced world.
-            out[ann] = self.label(sub, body_id)
-        return out
+        if not ann.any():
+            return ~ann
+        return ~ann | self.label(self._state(ann, event), body_id)
 
 
 def _world_index(model: Model, world) -> int:
-    if isinstance(world, int):
-        if not 0 <= world < len(model.worlds):
-            raise KeyError(f"world index {world} out of range")
-        return world
+    """Index of `world`, a world of the model or an integer index (not a bool)."""
+    if isinstance(world, (bool, np.bool_)):
+        raise KeyError(f"{world!r} is not a world index")
     try:
-        return model.worlds.index(world)
-    except ValueError:
-        raise KeyError(f"world {world} not in model") from None
+        index = operator.index(world)
+    except TypeError:
+        index = model.worlds.index(world) if world in model.worlds else -1
+    if not 0 <= index < len(model.worlds):
+        raise KeyError(f"world {world} not in the model")
+    return index
 
 
 def satisfies(model: Model, world, f: Formula) -> bool:

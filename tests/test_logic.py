@@ -12,15 +12,21 @@ from hypothesis import given, settings, strategies as st
 
 from plausilearn import (
     ENTROPY,
+    Proposition,
+    argmax_worlds,
     axiom_suite,
     check,
+    condition,
     extension,
     init_state,
+    knowledge_holds,
+    observe,
     parse,
     print_formula,
     satisfies,
     simplex_grid,
     update_proposition,
+    update_sampling,
     valid_in_model,
 )
 from plausilearn import logic
@@ -36,13 +42,15 @@ from plausilearn.logic import (
     Not,
     Or,
     ParseError,
+    Top,
     belief,
     iff,
     implies,
+    random_atom,
     random_formula,
     random_model,
 )
-from plausilearn.plausibility import tabulated
+from plausilearn.plausibility import argmax_restricted, tabulated
 from plausilearn.simplex import UnknownOutcomeError, mass_function
 
 
@@ -352,6 +360,24 @@ class TestSemantics:
         with pytest.raises(KeyError):
             satisfies(model, 99, TOP)
 
+    @pytest.mark.parametrize("world", [True, False, np.True_])
+    def test_satisfies_rejects_bool_index(self, coin, world):
+        model = self.entropy_model(coin, 10)
+        with pytest.raises(KeyError):
+            satisfies(model, world, TOP)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_satisfies_accepts_any_integer_index(self, coin, kind):
+        model = self.entropy_model(coin, 10)
+        f = parse(W_H_HALF, coin)
+        assert [satisfies(model, kind(i), f) for i in range(11)] == [
+            satisfies(model, i, f) for i in range(11)
+        ]
+        result = check(model, kind(7), f)
+        assert result.verdict and result.world == 7 and type(result.world) is int
+        with pytest.raises(KeyError):
+            satisfies(model, kind(11), TOP)
+
     def test_sampling_box_agrees_with_conditional_belief(self):
         # reduction law checked directly on random models
         rng = random.Random(13)
@@ -364,9 +390,91 @@ class TestSemantics:
             assert extension(model, left) == extension(model, right)
 
 
+def reference_extension(model, f, skip_relativization=False) -> set:
+    """The worlds of `model` satisfying `f`, clause by clause, world by world:
+    each update builds its model through the public API, nothing is cached,
+    and atoms are summed as Fractions.  With `skip_relativization`, the
+    announcement keeps the world it is evaluated at, as the mutant does."""
+    def ext(m, g):
+        return reference_extension(m, g, skip_relativization)
+
+    worlds = set(range(len(model.worlds)))
+    if isinstance(f, Top):
+        return worlds
+    if isinstance(f, LinIneq):
+        return fraction_extension(model, f)
+    if isinstance(f, Not):
+        return worlds - ext(model, f.operand)
+    if isinstance(f, And):
+        return ext(model, f.left) & ext(model, f.right)
+    if isinstance(f, Or):
+        return ext(model, f.left) | ext(model, f.right)
+    if isinstance(f, K):
+        holds = knowledge_holds(model, Proposition.of(ext(model, f.operand)))
+    elif isinstance(f, BelCond):
+        best = argmax_restricted(model, Proposition.of(ext(model, f.cond)))
+        holds = best.members <= ext(model, f.body)
+    elif isinstance(f, BelObs):
+        sampled = condition(model, observe(model.alphabet, f.obs))
+        holds = argmax_worlds(sampled).members <= ext(model, f.body)
+    elif isinstance(f, DynObs):
+        return ext(update_sampling(model, observe(model.alphabet, f.obs)), f.body)
+    else:
+        assert isinstance(f, DynAnn)
+        ann = ext(model, f.ann)
+        out = set() if skip_relativization else worlds - ann
+        for i in worlds if skip_relativization else ann:
+            # The k-th world of the updated model is the k-th kept world.
+            kept = sorted(ann | {i})
+            after = ext(update_proposition(model, Proposition.of(kept)), f.body)
+            if kept.index(i) in after:
+                out.add(i)
+        return out
+    return worlds if holds else set()
+
+
+def nested_update_formulas(rng, alphabet):
+    """Formulas whose updates nest: [p][q], [obs][p], K and B(.|obs) after
+    announcing an atom (more often true of some worlds and not others than
+    a random formula), an announcement of nothing and one of everything,
+    inside and outside another announcement, and a random depth-3 formula."""
+    p, q, r = (random_formula(rng, alphabet, 1) for _ in range(3))
+    a = random_atom(rng, alphabet)
+    obs = tuple(rng.choice(alphabet.names) for _ in range(rng.randint(1, 3)))
+    return [
+        DynAnn(p, DynAnn(q, r)),
+        DynObs(obs, DynAnn(p, belief(q))),
+        DynAnn(a, K(q)),
+        DynAnn(a, BelObs(q, obs)),
+        DynAnn(p, DynObs(obs, BelCond(q, r))),
+        DynAnn(Not(TOP), q),
+        DynAnn(TOP, K(q)),
+        DynAnn(p, DynAnn(Not(p), K(q))),
+        DynAnn(p, DynAnn(p, BelCond(q, Not(r)))),
+        random_formula(rng, alphabet, 3),
+    ]
+
+
 class TestEntryPoints:
     """The three entry points and the announcement clause, against oracles
     built from the public API."""
+
+    def test_nested_updates_match_reference(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            model = random_model(rng)
+            for f in nested_update_formulas(rng, model.alphabet):
+                assert extension(model, f).members == reference_extension(model, f), (
+                    print_formula(f)
+                )
+
+    def test_mutant_matches_reference(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            model = random_model(rng)
+            for f in nested_update_formulas(rng, model.alphabet):
+                got = extension(model, f, skip_relativization=True).members
+                assert got == reference_extension(model, f, True), print_formula(f)
 
     def test_announcement_matches_update_oracle(self):
         rng = random.Random(29)
@@ -394,15 +502,13 @@ class TestEntryPoints:
             assert {i for i in range(n) if satisfies(model, i, f)} == ext.members
             assert valid_in_model(model, f) == (len(ext.members) == n)
 
-    def test_empty_condition_leaves_body_unlabelled(self, coin, monkeypatch):
-        def no_sampling(model, event):
-            raise AssertionError("update_sampling called")
-
-        monkeypatch.setattr(logic, "update_sampling", no_sampling)
+    def test_empty_condition_leaves_body_unlabelled(self, coin):
+        # Labelling the body [H] T would add the state that sampling H makes.
         model = init_state(simplex_grid(coin, 10), ENTROPY)
-        assert valid_in_model(model, parse("B([H] T | w(H) >= 2)", coin))
-        with pytest.raises(AssertionError, match="update_sampling"):
-            valid_in_model(model, parse("B([H] T | w(H) >= 1/2)", coin))
+        for cond, states in [("w(H) >= 2", 1), ("w(H) >= 1/2", 2)]:
+            ev = logic._Evaluator(model)
+            assert ev.label(0, ev.compile(parse(f"B([H] T | {cond})", coin))).all()
+            assert len(ev.states) == states, cond
 
 
 def fraction_extension(model, atom):
@@ -509,12 +615,17 @@ class TestIntegerAtoms:
         assert got == fraction_extension(model, atom)
         assert 0 < len(got) < len(model.worlds)
 
-    def test_equal_subformulas_decide_each_atom_once(self, urn, monkeypatch):
-        decided = []
+    @pytest.fixture
+    def decided(self, monkeypatch):
+        """The arguments of every call the checker makes to `_decide_atom`."""
+        calls = []
         kernel = logic._decide_atom
         monkeypatch.setattr(
-            logic, "_decide_atom", lambda *args: decided.append(args) or kernel(*args)
+            logic, "_decide_atom", lambda *args: calls.append(args) or kernel(*args)
         )
+        return calls
+
+    def test_equal_subformulas_decide_each_atom_once(self, urn, decided):
         model = init_state(simplex_grid(urn, 6), ENTROPY)
 
         def p():
@@ -527,6 +638,11 @@ class TestIntegerAtoms:
         assert p1 == p2 and p1 is not p2
         assert valid_in_model(model, iff(p1, p2))
         assert len(decided) == 2
+
+    def test_atom_is_decided_once_across_updates(self, urn, decided):
+        model = init_state(simplex_grid(urn, 6), ENTROPY)
+        assert valid_in_model(model, parse("[w(R) >= 1/3] w(R) >= 1/3", urn))
+        assert len(decided) == 1
 
 
 class TestAxiomSuite:
