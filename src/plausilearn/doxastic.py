@@ -124,10 +124,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _ratio(num, den) -> Fraction:
-    if not (_is_int(num) and _is_int(den)):
-        raise TypeError(f"{[num, den]!r} is not a pair of integers")
-    return Fraction(num, den)
+def _world_weights(index: int, world) -> list[Fraction]:
+    """The weights of world `index` of a model file, read from its list of
+    [numerator, denominator] integer pairs."""
+    if not isinstance(world, list):
+        raise ValueError(f"world {index} is {world!r}, not a list of pairs")
+    for pair in world:
+        shaped = isinstance(pair, list) and len(pair) == 2
+        if not (shaped and _is_int(pair[0]) and _is_int(pair[1])):
+            raise ValueError(
+                f"world {index} has {pair!r}, not a [numerator, denominator] "
+                "integer pair"
+            )
+        if pair[1] == 0:
+            raise ValueError(f"world {index} has {pair!r}, a zero denominator")
+    return [Fraction(*pair) for pair in world]
 
 
 def _plausibility_to_spec(fn: PlausibilityFn):
@@ -156,17 +167,13 @@ def model_from_dict(payload: dict) -> Model:
     if ("worlds" in payload) == ("grid_resolution" in payload):
         raise ValueError("model needs exactly one of 'worlds' and 'grid_resolution'")
     if "worlds" in payload:
-        try:
-            worlds = [
-                mass_function(alphabet, [_ratio(*pair) for pair in vec])
-                for vec in payload["worlds"]
-            ]
-        except TypeError as exc:
-            raise ValueError(
-                f"'worlds' must list [numerator, denominator] integer pairs: {exc}"
-            ) from exc
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in 'worlds': {exc}") from exc
+        worlds = payload["worlds"]
+        if not isinstance(worlds, list):
+            raise ValueError(f"'worlds' must be a list of worlds, not {worlds!r}")
+        worlds = [
+            mass_function(alphabet, _world_weights(i, world))
+            for i, world in enumerate(worlds)
+        ]
     else:
         resolution = payload["grid_resolution"]
         if not _is_int(resolution):

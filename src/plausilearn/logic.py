@@ -187,38 +187,22 @@ class ParseError(ValueError):
         super().__init__(f"{message} at position {position}{suffix}")
 
 
+#: A token; its one group makes `re.split` keep the tokens.  A token's first
+#: character tells its kind: a digit starts a number (an INT, or a DECIMAL if
+#: it holds a "."), a letter or "_" an identifier, and any other an operator.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<dec>\d+\.\d+)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>->|>=|<=|[=><~&|()\[\],*+/-])
-    """,
-    re.VERBOSE,
+    r"(\d+\.\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|->|>=|<=|[=><~&|()\[\],*+/-])"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "dec" | "ident" | "op" | "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        pos = m.end()
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), m.start()))
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+def _tokenize(text: str) -> list[str]:
+    """The token texts of `text`, then "" to mark the end."""
+    parts = _TOKEN_RE.split(text)  # gap, token, gap, ..., token, gap
+    if "".join(parts[::2]).strip():  # a character in a gap starts no token
+        rest = _TOKEN_RE.sub(lambda m: " " * len(m[0]), text)  # blank the tokens
+        pos = len(rest) - len(rest.lstrip())
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    return parts[1::2] + [""]
 
 
 # ---------------------------------------------------------------------------
@@ -227,34 +211,38 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str, alphabet):
+        self.text = text
         self.tokens = _tokenize(text)
         self.alphabet = alphabet
-        self.i = 0
+        self.i, self.tok = 0, self.tokens[0]
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.cur
+    def advance(self) -> str:
+        tok = self.tok
         self.i += 1
+        self.tok = self.tokens[self.i]
         return tok
 
-    def at_op(self, *ops: str) -> bool:
-        return self.cur.kind == "op" and self.cur.text in ops
-
-    def expect_op(self, op: str) -> None:
-        if not self.at_op(op):
-            raise ParseError(
-                f"unexpected token {self.cur.text!r}", self.cur.pos, {op}
-            )
+    def accept(self, op: str) -> bool:
+        """Consume the current token if it is `op`."""
+        if self.tok != op:
+            return False
         self.advance()
+        return True
+
+    def expect_op(self, *ops: str) -> str:
+        if self.tok not in ops:
+            raise self.error(f"unexpected token {self.tok!r}", ops)
+        return self.advance()
+
+    def error(self, message: str, expected=()) -> ParseError:
+        """A parse error at the current token, found by scanning the text again."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        return ParseError(message, [*starts, len(self.text)][self.i], expected)
 
     # formula := impl; impl := or ("->" impl)?
     def formula(self, level: int = 0) -> Formula:
         left = self.connectives(level)
-        if self.at_op("->"):
-            self.advance()
+        if self.accept("->"):
             return implies(left, self.formula(level))
         return left
 
@@ -263,170 +251,131 @@ class _Parser:
         precedence climbing: each nests to the left over tighter right operands."""
         ops = [op for op, _ in _CONNECTIVES]
         node = self.unary()
-        while self.at_op(*ops[level:]):
-            at = ops.index(self.advance().text)
+        while self.tok in ops[level:]:
+            at = ops.index(self.advance())
             node = _CONNECTIVES[at][1](node, self.connectives(at + 1))
         return node
 
     def unary(self) -> Formula:
-        tok = self.cur
-        if self.at_op("~"):
-            self.advance()
+        tok = self.tok
+        if tok not in ("~", "K", "B", "["):
+            return self.atom()
+        self.advance()
+        if tok == "~":
             return Not(self.unary())
-        if tok.kind == "ident" and tok.text == "K":
-            self.advance()
+        if tok == "K":
             return K(self.unary())
-        if tok.kind == "ident" and tok.text == "B":
-            self.advance()
+        if tok == "B":
             return self.after_belief()
-        if self.at_op("["):
-            self.advance()
-            obs = self.try_obslist("]")
-            if obs is not None:
-                self.expect_op("]")
-                return DynObs(obs, self.unary())
-            ann = self.formula()
-            self.expect_op("]")
-            return DynAnn(ann, self.unary())
-        return self.atom()
+        obs = self.try_obslist("]")
+        if obs is not None:
+            return DynObs(obs, self.unary())
+        ann = self.formula()
+        self.expect_op("]")
+        return DynAnn(ann, self.unary())
 
     def after_belief(self) -> Formula:
-        if not self.at_op("("):
+        if not self.accept("("):
             return belief(self.unary())
-        self.advance()
         # Body may not use a bare top-level "|": that separates the
         # condition.  Parenthesise a top-level disjunction in the body.
         body = self.formula(_LVL_BODY)
-        if self.at_op(")"):
-            self.advance()
+        if self.accept(")"):
             return belief(body)
         self.expect_op("|")
         obs = self.try_obslist(")")
         if obs is not None:
-            self.expect_op(")")
             return BelObs(body, obs)
         cond = self.formula()
         self.expect_op(")")
         return BelCond(body, cond)
 
     def try_obslist(self, closer: str) -> tuple[str, ...] | None:
-        """Consume ``OUTCOME ("," OUTCOME)*`` if the upcoming tokens match
-        exactly that shape up to `closer`; otherwise consume nothing."""
-        j = self.i
-        names = []
-        while True:
-            tok = self.tokens[j]
-            if tok.kind != "ident" or tok.text not in self.alphabet:
+        """Consume ``OUTCOME ("," OUTCOME)*`` and `closer` if the upcoming
+        tokens are exactly that; otherwise consume nothing."""
+        tokens, j = self.tokens, self.i
+        while tokens[j].isidentifier() and tokens[j] in self.alphabet:
+            if tokens[j + 1] == closer:
+                names = tuple(tokens[self.i : j + 1 : 2])
+                self.i, self.tok = j + 2, tokens[j + 2]
+                return names
+            if tokens[j + 1] != ",":
                 return None
-            names.append(tok.text)
-            j += 1
-            nxt = self.tokens[j]
-            if nxt.kind == "op" and nxt.text == ",":
-                j += 1
-                continue
-            if nxt.kind == "op" and nxt.text == closer:
-                self.i = j
-                return tuple(names)
-            return None
+            j += 2
+        return None
 
     def atom(self) -> Formula:
-        tok = self.cur
-        if tok.kind == "ident" and tok.text == "T":
-            self.advance()
+        if self.accept("T"):
             return TOP
-        if self.at_op("("):
-            self.advance()
+        if self.accept("("):
             node = self.formula()
             self.expect_op(")")
             return node
-        if tok.kind in ("int", "dec") or self.at_op("-") or (
-            tok.kind == "ident" and tok.text == "w"
-        ):
+        tok = self.tok
+        if tok[:1].isdecimal() or tok in ("-", "w"):
             return self.lin()
-        raise ParseError(
-            f"unexpected token {tok.text or 'end of input'!r}",
-            tok.pos,
+        raise self.error(
+            f"unexpected token {tok or 'end of input'!r}",
             {"T", "w(", "(", "~", "K", "B", "["},
         )
 
     def lin(self) -> Formula:
         terms = [self.term(allow_leading_minus=True)]
-        while self.at_op("+", "-"):
-            sign = self.advance().text
+        while self.tok in ("+", "-"):
+            sign = self.advance()
             coeff, name = self.term()
             if sign == "-":
                 coeff = -coeff
             terms.append((coeff, name))
-        rel = self.cur
-        if not self.at_op(">=", "<=", "=", ">", "<"):
-            raise ParseError(
-                f"unexpected token {rel.text!r}",
-                rel.pos,
-                {">=", "<=", "=", ">", "<"},
-            )
-        self.advance()
+        rel = self.expect_op(">=", "<=", "=", ">", "<")
         bound = self.rational()
-        return _desugar_lin(tuple(terms), bound, rel.text)
+        return _desugar_lin(tuple(terms), bound, rel)
 
     def term(self, allow_leading_minus: bool = False) -> tuple[Fraction, str]:
-        negate = False
-        if allow_leading_minus and self.at_op("-"):
-            self.advance()
-            negate = True
+        negate = allow_leading_minus and self.accept("-")
         coeff = Fraction(1)
-        if self.cur.kind in ("int", "dec"):
+        if self.tok[:1].isdecimal():
             coeff = self.rational()
             self.expect_op("*")
         if negate:
             coeff = -coeff
-        tok = self.cur
-        if tok.kind != "ident" or tok.text != "w":
-            raise ParseError(
-                f"unexpected token {tok.text!r}", tok.pos, {"w("}
-            )
+        if self.tok != "w":
+            raise self.error(f"unexpected token {self.tok!r}", {"w("})
         self.advance()
         self.expect_op("(")
-        name_tok = self.cur
-        if name_tok.kind != "ident":
-            raise ParseError("expected outcome name", name_tok.pos)
-        if name_tok.text not in self.alphabet:
-            raise UnknownOutcomeError(f"unknown outcome {name_tok.text!r}")
+        name = self.tok
+        if not name.isidentifier():
+            raise self.error("expected outcome name")
+        if name not in self.alphabet:
+            raise UnknownOutcomeError(f"unknown outcome {name!r}")
         self.advance()
         self.expect_op(")")
-        return coeff, name_tok.text
+        return coeff, name
 
     def rational(self) -> Fraction:
-        negate = False
-        if self.at_op("-"):
+        negate = self.accept("-")
+        tok = self.tok
+        if not tok[:1].isdecimal():
+            raise self.error(f"unexpected token {tok!r}", {"INT", "DECIMAL"})
+        self.advance()
+        value = Fraction(tok)
+        if tok.isdecimal() and self.accept("/"):  # an INT may take a denominator
+            den = self.tok
+            if not den.isdecimal():
+                raise self.error("expected denominator", {"INT"})
+            if int(den) == 0:
+                raise self.error("zero denominator")
             self.advance()
-            negate = True
-        tok = self.cur
-        if tok.kind == "dec":
-            self.advance()
-            value = Fraction(tok.text)
-        elif tok.kind == "int":
-            self.advance()
-            value = Fraction(int(tok.text))
-            if self.at_op("/"):
-                self.advance()
-                den = self.cur
-                if den.kind != "int":
-                    raise ParseError("expected denominator", den.pos, {"INT"})
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.pos)
-                self.advance()
-                value = Fraction(value, int(den.text))
-        else:
-            raise ParseError(
-                f"unexpected token {tok.text!r}", tok.pos, {"INT", "DECIMAL"}
-            )
+            value /= int(den)
         return -value if negate else value
 
 
 def _desugar_lin(terms, bound: Fraction, rel: str) -> Formula:
+    if rel == ">=":
+        return LinIneq(terms, bound)
     ge = LinIneq(terms, bound)
     le = LinIneq(tuple((-a, o) for a, o in terms), -bound)
-    return {">=": ge, "<=": le, "=": And(ge, le), ">": Not(le), "<": Not(ge)}[rel]
+    return {"<=": le, "=": And(ge, le), ">": Not(le), "<": Not(ge)}[rel]
 
 
 def parse(text: str, alphabet) -> Formula:
@@ -439,10 +388,9 @@ def parse(text: str, alphabet) -> Formula:
     try:
         node = parser.formula()
     except RecursionError:
-        raise ParseError("formula nests too deeply", parser.cur.pos) from None
-    end = parser.cur
-    if end.kind != "end":
-        raise ParseError(f"trailing input {end.text!r}", end.pos)
+        raise parser.error("formula nests too deeply") from None
+    if parser.tok:
+        raise parser.error(f"trailing input {parser.tok!r}")
     return node
 
 

@@ -511,6 +511,21 @@ class TestBadNumbers:
         assert str(model_path) in err
 
     @pytest.mark.parametrize(
+        "world, entry",
+        [([[1, 2, 3]], "[1, 2, 3]"), ([1, 2], "has 1,"), ("ab", "'ab'")],
+        ids=["triple", "bare_numbers", "string"],
+    )
+    def test_bad_world_names_its_entry(self, model_path, world, entry, capsys):
+        payload = json.loads(model_path.read_text())
+        payload["worlds"] = [[[1, 2], [1, 2]], world]
+        model_path.write_text(json.dumps(payload))
+        err = self.assert_usage_error(
+            ["check", "--model", str(model_path), "--formula", "T"], capsys
+        )
+        assert "world 1" in err and entry in err
+        assert "_ratio" not in err and "argument" not in err
+
+    @pytest.mark.parametrize(
         "change",
         [
             {"grid_resolution": 2.9},

@@ -145,6 +145,9 @@ class TestParser:
         assert parse("[B] w(B) >= 0", urn) == DynObs(("B",), lin([(1, "B")], 0))
         assert parse("B(T | B,B)", urn) == BelObs(TOP, ("B", "B"))
 
+    def test_non_ascii_digits_are_numbers(self, coin):
+        assert parse("w(H) >= ٣/٤", coin) == lin([(1, "H")], Fraction(3, 4))
+
 
 class TestParseErrors:
     def test_reports_position(self, coin):
@@ -174,6 +177,32 @@ class TestParseErrors:
         assert parse("(" * 150 + "T" + ")" * 150, coin) == TOP
         with pytest.raises(ParseError, match="nests too deeply"):
             parse("(" * 1000 + "T" + ")" * 1000, coin)
+
+    def test_pinned_corpus(self, coin):
+        """Every outcome of parsing 5,000 seeded strings of keywords,
+        outcomes (X unknown), operators, numbers, garbage and blanks, pinned
+        as a digest: the AST, or the error with its position and expected set."""
+        pieces = [
+            "T", "K", "B", "B(", "w", "w(", "H", "T", "X",
+            "->", ">=", "<=", "=", ">", "<", "~", "&", "|", "(", ")", "[", "]",
+            ",", "*", "+", "-", "/",
+            "1", "0", "1.5", "3/0", "1.", "٣", "@", "é", " ", "\t",
+        ]
+        rng = random.Random(0)
+        lines = []
+        for _ in range(5000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 9)))
+            try:
+                result = repr(parse(text, coin))
+            except ParseError as err:
+                result = f"{err} {err.position} {sorted(err.expected)}"
+            except UnknownOutcomeError as err:
+                result = str(err)
+            lines.append(f"{text!r} {result}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "99f508932225b3f201356947f2284aa6160791d5a792c9cfb31ca8c5b970928c"
+        )
 
 
 class TestPrinter:
@@ -211,7 +240,11 @@ class TestPrinter:
         assert print_formula(ast) == "[(T)] T"
         assert parse(print_formula(ast), coin) == ast
 
-    @pytest.mark.parametrize("alphabet_names", [("H", "T"), ("R", "B", "G")])
+    @pytest.mark.parametrize(
+        "alphabet_names",
+        # The last three name outcomes like keywords: T, K, B and w.
+        [("H", "T"), ("R", "B", "G"), ("T", "F"), ("K", "B"), ("w", "x")],
+    )
     def test_roundtrip_fuzz(self, alphabet_names):
         from plausilearn import make_alphabet
 
