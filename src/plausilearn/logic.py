@@ -57,7 +57,6 @@ import numpy as np
 from .doxastic import update_sampling
 from .plausibility import (
     Model,
-    _INT64_MAX,
     _argmax_mask,
     _float_counts,
     _log_plausibilities,
@@ -68,6 +67,7 @@ from .simplex import (
     ObservationEvent,
     Proposition,
     UnknownOutcomeError,
+    _INT64_MAX,
     event_concat,
     make_alphabet,
     observe,
@@ -426,7 +426,15 @@ def _print(node: Formula, level: int) -> str:
         return "~" + _print(node.operand, _LVL_UNARY)
     for at, (op, kind) in enumerate(_CONNECTIVES):
         if isinstance(node, kind):
-            text = f"{_print(node.left, at)} {op} {_print(node.right, at + 1)}"
+            # A left spine of one connective prints without parentheses; a
+            # loop walks it, so a flat chain of any length prints.
+            rights = []
+            while isinstance(node, kind):
+                rights.append(node.right)
+                node = node.left
+            text = f" {op} ".join(
+                [_print(node, at), *(_print(r, at + 1) for r in reversed(rights))]
+            )
             return f"({text})" if level > at else text
     if isinstance(node, K):
         return "K " + _print(node.operand, _LVL_UNARY)
@@ -515,38 +523,63 @@ class _Evaluator:
         self.labels: dict = {}  # (handle, node id) -> bool mask
 
     def compile(self, f: Formula) -> int:
-        """Node id of `f`; structurally equal formulas get the same id."""
+        """Node id of `f`; structurally equal formulas get the same id.
+
+        An explicit stack walks each distinct subformula object once (a
+        formula may share one object in many places), children left to right
+        before their parent.  `seen` maps the id() of each subformula walked
+        so far to its node id; `f` keeps every one of them alive."""
         if not isinstance(f, Formula):
             raise TypeError(f"not a formula: {f!r}")
-        return self._node_id(f, {})
-
-    def _node_id(self, f: Formula, seen: dict) -> int:
-        """Node id of `f`, walking each distinct subformula object once (a
-        formula may share one object in many places).  `seen` maps the id()
-        of each subformula walked so far in this compile to its node id;
-        the formula being compiled keeps every one of them alive."""
-        node_id = seen.get(id(f))
-        if node_id is None:
-            # A dataclass instance's __dict__ lists its fields in declaration
-            # order.
-            node = (type(f), *[
-                self._node_id(v, seen) if isinstance(v, Formula) else v
-                for v in vars(f).values()
-            ])
+        seen: dict = {}
+        stack: list = [f]  # subformulas to walk, and (subformula, fields) to finish
+        while stack:
+            g = stack.pop()
+            if type(g) is tuple:
+                g, fields = g
+                node = (type(g), *[seen[id(v)] if isinstance(v, Formula) else v
+                                   for v in fields])
+            elif id(g) in seen:
+                continue
+            else:
+                # A dataclass instance's __dict__ lists its fields in
+                # declaration order.
+                fields = vars(g).values()
+                children = [v for v in reversed(fields) if isinstance(v, Formula)]
+                if children:
+                    stack.append((g, fields))
+                    stack += children
+                    continue
+                node = (type(g), *fields)
             node_id = self.node_ids.get(node)
             if node_id is None:
                 node_id = self.node_ids[node] = len(self.nodes)
                 self.nodes.append(node)
-            seen[id(f)] = node_id
-        return node_id
+            seen[id(g)] = node_id
+        return seen[id(f)]
 
     def label(self, handle: int, node_id: int) -> np.ndarray:
         """Extension of node `node_id` in state `handle`, as a bool mask.
         Masks are shared through the cache: never write to one."""
         key = (handle, node_id)
         mask = self.labels.get(key)
-        if mask is None:
+        if mask is not None:
+            return mask
+        kind = self.nodes[node_id][0]
+        if kind is not And and kind is not Or:
             mask = self.labels[key] = self._compute(handle, node_id)
+            return mask
+        # `&` and `|` nest to the left, so a loop folds the unlabelled left
+        # spine of one connective, bottom up: a flat chain of any length is
+        # labelled without recursion, in the order recursion would take.
+        spine, left = [node_id], self.nodes[node_id][1]
+        while self.nodes[left][0] is kind and (handle, left) not in self.labels:
+            spine.append(left)
+            left = self.nodes[left][1]
+        mask = self.label(handle, left)
+        join = operator.and_ if kind is And else operator.or_
+        for n in reversed(spine):
+            mask = self.labels[(handle, n)] = join(mask, self.label(handle, self.nodes[n][2]))
         return mask
 
     def _compute(self, handle: int, node_id: int) -> np.ndarray:
@@ -558,10 +591,6 @@ class _Evaluator:
             return self.label(0, node_id) if handle else _decide_atom(self.model, *args)
         if kind is Not:
             return ~self.label(handle, args[0])
-        if kind is And:
-            return self.label(handle, args[0]) & self.label(handle, args[1])
-        if kind is Or:
-            return self.label(handle, args[0]) | self.label(handle, args[1])
         if kind is K:
             return np.full_like(domain, self.label(handle, args[0])[domain].all())
         if kind is BelCond:

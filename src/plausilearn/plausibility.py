@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -34,6 +35,8 @@ from .simplex import (
     ObservationEvent,
     OutcomeAlphabet,
     Proposition,
+    _Weights,
+    _weights,
     empty_event,
     event_concat,
 )
@@ -57,11 +60,7 @@ def entropy_plausibility(mu: MassFunction) -> float:
     Uniquely maximised by the uniform distribution, so an agent with this
     plausibility starts out believing the least informative world.
     """
-    total = 0.0
-    for w in mu.weights:
-        if w > 0:
-            total -= float(w) * math.log(w)
-    return total
+    return ENTROPY.values_for(_weights([mu]))[0]
 
 
 def centre_of_mass_plausibility(mu: MassFunction) -> float:
@@ -70,10 +69,7 @@ def centre_of_mass_plausibility(mu: MassFunction) -> float:
     The order-equivalent exponential of the sum-of-logs "centre of mass"
     score; 0 on the simplex boundary, maximal at the uniform distribution.
     """
-    total = 1.0
-    for w in mu.weights:
-        total *= float(w)
-    return total
+    return CENTRE_OF_MASS.values_for(_weights([mu]))[0]
 
 
 @dataclass(frozen=True)
@@ -83,19 +79,22 @@ class PlausibilityFn:
     kind: str  # "entropy" | "centre_of_mass" | "tabulated"
     table: Mapping[int, float] | None = None
 
-    def values_for(self, worlds: tuple[MassFunction, ...]) -> list[float]:
+    def values_for(self, weights: _Weights) -> list[float]:
+        """Each world's value; a named map's folds the outcome columns left
+        to right."""
         if self.kind == "entropy":
-            return [entropy_plausibility(w) for w in worlds]
+            return reduce(np.subtract, weights.terms.T, 0.0).tolist()
         if self.kind == "centre_of_mass":
-            return [centre_of_mass_plausibility(w) for w in worlds]
+            return reduce(np.multiply, weights.floats.T, 1.0).tolist()
         if self.kind == "tabulated":
             assert self.table is not None
-            missing = [i for i in range(len(worlds)) if i not in self.table]
+            n = len(weights.floats)
+            missing = [i for i in range(n) if i not in self.table]
             if missing:
                 raise IncompleteTableError(
                     f"table missing worlds {missing[:5]}"
                 )
-            vals = [float(self.table[i]) for i in range(len(worlds))]
+            vals = [float(self.table[i]) for i in range(n)]
             if not all(0 <= v < math.inf for v in vals):
                 raise ValueError("plausibility values must be finite and non-negative")
             return vals
@@ -121,9 +120,8 @@ class Model:
     `base_log` holds ln(fn(world)); `event` is the accumulated sampling
     evidence; `log_weights` is the worlds x outcomes matrix of ln(world
     weight).  `log_values` is always base_log + log-likelihood(world, event),
-    recomputed on conditioning.  `numerators` is the worlds x outcomes matrix
-    of world weights times `denominator`, exact: int64 when every entry fits,
-    Python ints otherwise.  Build one with `init_state`.
+    recomputed on conditioning.  `numerators` over `denominator` are the exact
+    weights (see `simplex._Weights`).  Build one with `init_state`.
 
     Two models are equal when their worlds, `fn` and evidence are: the
     arrays are derived from those and take no part in `==`.
@@ -171,11 +169,6 @@ def _log_plausibilities(
     return np.add(total, base_log, out=total)
 
 
-#: Largest int64: bigger weight denominators, and the model checker's dot
-#: products that could pass it, use Python ints instead.
-_INT64_MAX = 2**63 - 1
-
-
 def _ties(values: np.ndarray, best, tolerance: float) -> np.ndarray:
     """Mask of the entries of `values` that tie `best` (broadcast against
     them) within the relative `tolerance`, or exceed it; all True where
@@ -212,33 +205,19 @@ def _float_counts(e: ObservationEvent) -> np.ndarray:
 
 
 def init_state(worlds, fn: PlausibilityFn) -> Model:
-    """The model of a world set under `fn`, before any evidence."""
+    """The model of a world set under `fn`, before any evidence.  The
+    weights, exact and as logs, and the named maps' values all come from
+    one table over the distinct weights (`simplex._weights`)."""
     worlds = tuple(worlds)
     if not worlds:
         raise EmptyWorldSetError("world set must be non-empty")
-    alphabet = worlds[0].alphabet
-    for w in worlds:
-        if w.alphabet != alphabet:
-            raise AlphabetMismatchError("worlds over different alphabets")
+    weights = _weights(worlds)
     base = np.array(
-        [math.log(v) if v > 0 else -math.inf for v in fn.values_for(worlds)]
+        [math.log(v) if v > 0 else -math.inf for v in fn.values_for(weights)]
     )
-    # Every weight as (numerator, denominator), row by row.  math.log of a
-    # Fraction takes the log of numerator / denominator, so the log-weight
-    # matrix is the one MassFunction.log_weights gives, built as one array.
-    ratios = [x.as_integer_ratio() for w in worlds for x in w.weights]
-    shape = (len(worlds), alphabet.size)
-    log_weights = np.array(
-        [math.log(n / d) if n else -math.inf for n, d in ratios]
-    ).reshape(shape)
-    denominator = math.lcm(*{d for _, d in ratios})
-    numerators = np.array(
-        [n * (denominator // d) for n, d in ratios],
-        dtype=np.int64 if denominator <= _INT64_MAX else object,
-    ).reshape(shape)
     return Model(
-        worlds, fn, base, empty_event(alphabet), base.copy(), log_weights,
-        numerators, denominator,
+        worlds, fn, base, empty_event(worlds[0].alphabet), base.copy(),
+        weights.logs, weights.numerators, weights.denominator,
     )
 
 
@@ -273,10 +252,19 @@ def argmax_worlds(model: Model) -> Proposition:
     return Proposition.of(np.flatnonzero(_tie_mask(model.log_values)).tolist())
 
 
+def _members(model: Model, p: Proposition) -> list[int]:
+    """The members of `p` in order, each checked to index a world of `model`."""
+    members = sorted(p.members)
+    for i in members[:1] + members[-1:]:  # the least and the greatest
+        if not 0 <= i < len(model):
+            raise ValueError(f"world index {i} is not in a model of {len(model)} worlds")
+    return members
+
+
 def argmax_restricted(model: Model, restriction: Proposition) -> Proposition:
     """Argmax of the model among the worlds in `restriction` only."""
     within = np.zeros(len(model), dtype=bool)
-    within[list(restriction.members)] = True
+    within[_members(model, restriction)] = True
     best = _argmax_mask(model.log_values, within)
     return Proposition.of(np.flatnonzero(best).tolist())
 
@@ -286,7 +274,7 @@ def restrict_state(model: Model, keep: Proposition) -> Model:
 
     A tabulated plausibility is renumbered along with the worlds, so the
     restricted model's `fn` still gives each of its worlds its value."""
-    members = sorted(keep.members)
+    members = _members(model, keep)
     if not members:
         raise EmptyWorldSetError("cannot restrict to an empty world set")
     fn = model.fn

@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,9 +91,7 @@ class MassFunction:
 
     def log_weights(self) -> np.ndarray:
         """Natural-log weights; zero weight maps to -inf."""
-        return np.array(
-            [math.log(w) if w > 0 else -math.inf for w in self.weights]
-        )
+        return _weights([self]).logs[0]
 
     def __str__(self) -> str:
         pairs = ", ".join(
@@ -143,24 +142,53 @@ def simplex_grid(alphabet: OutcomeAlphabet, resolution: int) -> list[MassFunctio
     ]
 
 
-def _distances(center: MassFunction, worlds) -> np.ndarray:
-    """Euclidean distance from `center` to each of `worlds`.
+#: Largest int64: bigger weight denominators, and the model checker's dot
+#: products that could pass it, use Python ints instead.
+_INT64_MAX = 2**63 - 1
 
-    Each coordinate's squared difference comes from a table over the
-    distinct values of that coordinate: float(c - v) ** 2, the difference
-    exact (an integer cross product over the product of the denominators,
-    which int division rounds once, as float of a `Fraction` does).  The
-    coordinates are summed left to right and the square root taken last.
-    """
-    alphabet = center.alphabet
+
+class _Weights(NamedTuple):
+    """A world set's weights (worlds x outcomes): exact as `numerators` over
+    one `denominator`, and as floats, logs and entropy terms w * log(w)."""
+
+    numerators: np.ndarray
+    denominator: int
+    floats: np.ndarray
+    logs: np.ndarray
+    terms: np.ndarray
+
+
+def _weights(worlds) -> _Weights:
+    """The one place where a world weight becomes a float or a log, from a
+    table over the distinct weights.  The numerators are int64 when D fits,
+    Python ints otherwise.  A numerator n gives n / D, rounded once by int
+    division as float of the `Fraction` is; its log is -inf at 0, and
+    log(n) - log(D) where n / D underflows to 0."""
+    alphabet = worlds[0].alphabet
     if any(w.alphabet is not alphabet and w.alphabet != alphabet for w in worlds):
         raise AlphabetMismatchError("mass functions over different alphabets")
-    ratios = [x.as_integer_ratio() for w in worlds for x in w.weights]
+    position: dict = {}  # (numerator, denominator) -> row of the table
+    index = np.reshape([position.setdefault(x.as_integer_ratio(), len(position))
+                        for w in worlds for x in w.weights], (len(worlds), -1))
+    d = math.lcm(*{q for _, q in position})
+    numerators = [p * (d // q) for p, q in position]
+    floats = [n / d for n in numerators]
+    logs = [math.log(f) if f else math.log(n) - math.log(d) if n else -math.inf
+            for n, f in zip(numerators, floats)]
+    terms = [f * g if n else 0.0 for n, f, g in zip(numerators, floats, logs)]
+    exact = np.array(numerators, dtype=np.int64 if d <= _INT64_MAX else object)
+    return _Weights(exact[index], d, *(np.array(t)[index] for t in (floats, logs, terms)))
+
+
+def _distances(center: MassFunction, worlds) -> np.ndarray:
+    """Euclidean distance from `center` to each of `worlds`: over their
+    common denominator D, each squared difference is float((c - v) / D) ** 2,
+    exact until rounded once, from a table over the column's distinct values;
+    the coordinates are summed left to right and the square root taken last."""
+    weights = _weights([center, *worlds])
     total = np.zeros(len(worlds))
-    for j, c in enumerate(center.weights):
-        p, q = c.as_integer_ratio()
-        column = ratios[j::alphabet.size]
-        table = {(n, d): ((p * d - n * q) / (q * d)) ** 2 for n, d in set(column)}
+    for c, *column in weights.numerators.T.tolist():
+        table = {v: ((c - v) / weights.denominator) ** 2 for v in set(column)}
         total += [table[v] for v in column]
     return np.sqrt(total)
 
@@ -284,8 +312,9 @@ def sample_stream(truth: MassFunction, length: int, seed: int) -> ObservationStr
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)
-    positive = np.array([i for i, w in enumerate(truth.weights) if w > 0])
-    probs = np.array([float(truth.weights[i]) for i in positive])
+    weights = _weights([truth])
+    positive = np.flatnonzero(weights.numerators[0] > 0)
+    probs = weights.floats[0, positive]
     probs = probs / probs.sum()
     draws = rng.choice(len(positive), size=length, p=probs)
     return ObservationStream(truth.alphabet, tuple(positive[draws].tolist()), seed)

@@ -131,6 +131,23 @@ class TestCheck:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["valid"] is True
 
+    def test_weight_whose_float_underflows(self, tmp_path, capsys):
+        # 10**-400 is positive, but 0.0 as a float: its log is taken from
+        # the integers, as log(1) - log(10**400).
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({
+            "alphabet": ["H", "T"],
+            "worlds": [[[1, 10**400], [10**400 - 1, 10**400]]],
+        }))
+        assert run(["check", "--model", str(path), "--formula", "T"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"] == [True]
+
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_flat_chain_of_10000_atoms(self, model_path, op, capsys):
+        formula = f" {op} ".join(["T"] * 10_000)
+        assert run(["check", "--model", str(model_path), "--formula", formula]) == 0
+        assert json.loads(capsys.readouterr().out)["formula"] == formula
+
     def test_bad_formula_exit_two(self, model_path, capsys):
         code = run(
             ["check", "--model", str(model_path), "--formula", "w(H) >="]

@@ -298,7 +298,8 @@ def screened_cases(draw):
         fn = tabulated(values)
     else:
         fn = ENTROPY if kind == "entropy" else CENTRE_OF_MASS
-    plausible = [w for w, v in zip(worlds, fn.values_for(tuple(worlds))) if v > 0]
+    base_log = init_state(worlds, fn).base_log
+    plausible = [w for w, v in zip(worlds, base_log) if v > -math.inf]
     assume(plausible)
     truth = draw(st.sampled_from(plausible))
     # Small `_BLOCK_CELLS` split the block-end rows into several chunks.

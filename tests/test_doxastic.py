@@ -133,6 +133,14 @@ class TestConditionalBeliefProp:
         model = entropy_model(coin_grid)
         assert conditional_belief_prop(model, Proposition.of([]), Proposition.of([]))
 
+    @pytest.mark.parametrize("index", [-1, 11, 99])
+    def test_index_outside_the_model_rejected(self, coin_grid, index):
+        # A negative index must not wrap round to world 10.
+        model = entropy_model(coin_grid)
+        q = Proposition.of([3, index])
+        with pytest.raises(ValueError, match=f"world index {index} "):
+            conditional_belief_prop(model, q, q)
+
     def test_consistency_when_condition_nonempty(self):
         rng = random.Random(11)
         for _ in range(100):
@@ -203,6 +211,13 @@ class TestUpdates:
         model = init_state(coin_grid, ENTROPY)
         with pytest.raises(EmptyUpdateError):
             update_proposition(model, Proposition.of([]))
+
+    @pytest.mark.parametrize("index", [-1, 11, 99])
+    def test_proposition_index_outside_the_model_rejected(self, coin_grid, index):
+        # A negative index must not wrap round and keep world 10.
+        model = init_state(coin_grid, ENTROPY)
+        with pytest.raises(ValueError, match=f"world index {index} "):
+            update_proposition(model, Proposition.of([index]))
 
     def test_updates_commute(self, coin, coin_grid):
         model = init_state(coin_grid, ENTROPY)

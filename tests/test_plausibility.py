@@ -256,6 +256,13 @@ class TestArgmax:
         state = init_state(coin_grid, ENTROPY)
         assert argmax_restricted(state, Proposition.of([])).members == set()
 
+    @pytest.mark.parametrize("index", [-1, 11, 99])
+    def test_index_outside_the_model_rejected(self, coin_grid, index):
+        state = init_state(coin_grid, ENTROPY)
+        for restricted in (argmax_restricted, restrict_state):
+            with pytest.raises(ValueError, match=f"world index {index} "):
+                restricted(state, Proposition.of([0, index]))
+
     @settings(max_examples=300)
     @given(data=st.data(), n=st.integers(1, 8))
     def test_argmax_mask_matches_branchy_reference(self, data, n):
