@@ -36,10 +36,10 @@ the parentheses.
 
 Model checking labels every subformula with its extension, bottom up
 (Clarke, Grumberg & Peled, *Model Checking*), under the conditional-belief
-and update semantics of Baltag & Smets (2008).  Each entry point compiles
-its formula once into a DAG in which structurally equal subformulas share
-one node, so each is evaluated once in each state that updates reach.  A
-linear atom is decided once, for every world at once, exactly, by one
+and update semantics of Baltag & Smets (2008).  Each entry point labels
+each subformula object once in each state that updates reach, in one walk
+over an explicit stack, so a formula of any depth checks.  Equal linear
+atoms are decided once per call, for every world at once, exactly, by one
 integer dot product with the world weights over their common denominator.
 """
 
@@ -427,14 +427,16 @@ def _print(node: Formula, level: int) -> str:
     for at, (op, kind) in enumerate(_CONNECTIVES):
         if isinstance(node, kind):
             # A left spine of one connective prints without parentheses; a
-            # loop walks it, so a flat chain of any length prints.
+            # loop walks it, so a flat chain of any length prints.  A right
+            # operand costs one stack frame, as a "->" does in the parser.
             rights = []
             while isinstance(node, kind):
                 rights.append(node.right)
                 node = node.left
-            text = f" {op} ".join(
-                [_print(node, at), *(_print(r, at + 1) for r in reversed(rights))]
-            )
+            parts = [_print(node, at)]
+            for right in reversed(rights):
+                parts.append(_print(right, at + 1))
+            text = f" {op} ".join(parts)
             return f"({text})" if level > at else text
     if isinstance(node, K):
         return "K " + _print(node.operand, _LVL_UNARY)
@@ -469,15 +471,13 @@ def print_formula(node: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Semantics
 #
-# A compiled formula is a list of hash-consed nodes.  A node is a tuple of
-# its Formula class followed by the class's fields in declaration order,
-# each Formula field replaced by its child's integer node id: (And, l, r),
-# (DynObs, obs, body), (LinIneq, terms, bound).  Sampling changes only the
-# plausibilities and an announcement only drops worlds, so an update makes a
-# state of the root model: a domain, a bool mask over the root's worlds, and
-# the evidence.  A state is an integer handle owned by the evaluator (the root
-# is 0), and an extension is a bool mask over the root's worlds, read only in
-# its state's domain; both become objects only at the public boundary.
+# Sampling changes only the plausibilities and an announcement only drops
+# worlds, so an update makes a state of the root model: a domain, a bool mask
+# over the root's worlds, and the evidence.  A state is an integer handle owned
+# by the evaluator (the root is 0), and an extension is a bool mask over the
+# root's worlds, read only in its state's domain; both become objects only at
+# the public boundary.  Each subformula object is labelled once in each state
+# that reaches it, and equal linear atoms are decided once per call.
 
 
 @dataclass
@@ -510,7 +510,12 @@ def _decide_atom(model: Model, terms, bound: Fraction) -> np.ndarray:
 
 
 class _Evaluator:
-    """Extensions of compiled formulas in the states of one root model."""
+    """Extensions of formulas in the states of one root model.
+
+    Labels are keyed by (state handle, id(subformula)), and no key can
+    outlive its subformula: an evaluator lives only inside one public entry
+    call and is never stored, and the formula argument keeps every
+    subformula alive meanwhile, so no id is reused while a label is read."""
 
     def __init__(self, model: Model, skip_relativization: bool = False):
         self.model = model
@@ -518,95 +523,70 @@ class _Evaluator:
         self.states, self.state_ids = [], {}  # handle -> (domain, event), and back
         self._state(np.ones(len(model.worlds), dtype=bool), model.event)  # the root
         self.values = {model.event: model.log_values}  # event -> log values
-        self.nodes: list[tuple] = []  # node id -> (class, *fields)
-        self.node_ids: dict = {}  # node -> node id
-        self.labels: dict = {}  # (handle, node id) -> bool mask
+        self.atoms: dict = {}  # LinIneq -> bool mask, the same in every state
+        self.labels: dict = {}  # (handle, id(subformula)) -> bool mask
 
-    def compile(self, f: Formula) -> int:
-        """Node id of `f`; structurally equal formulas get the same id.
+    def label(self, handle: int, f: Formula) -> np.ndarray:
+        """Extension of `f` in state `handle`, as a bool mask.  Masks are
+        shared through the cache: never write to one.
 
-        An explicit stack walks each distinct subformula object once (a
-        formula may share one object in many places), children left to right
-        before their parent.  `seen` maps the id() of each subformula walked
-        so far to its node id; `f` keeps every one of them alive."""
-        if not isinstance(f, Formula):
-            raise TypeError(f"not a formula: {f!r}")
-        seen: dict = {}
-        stack: list = [f]  # subformulas to walk, and (subformula, fields) to finish
+        One loop drives an explicit stack of `_compute` generators, so a
+        formula of any depth is labelled without recursion: each generator
+        yields the (state, subformula) pairs it needs, in order, and is sent
+        back their masks."""
+        key = (handle, id(f))
+        if key in self.labels:
+            return self.labels[key]
+        stack, mask = [(key, self._compute(handle, f))], None
         while stack:
-            g = stack.pop()
-            if type(g) is tuple:
-                g, fields = g
-                node = (type(g), *[seen[id(v)] if isinstance(v, Formula) else v
-                                   for v in fields])
-            elif id(g) in seen:
+            key, walk = stack[-1]
+            try:
+                handle, f = walk.send(mask)
+            except StopIteration as done:
+                stack.pop()
+                mask = self.labels[key] = done.value
                 continue
-            else:
-                # A dataclass instance's __dict__ lists its fields in
-                # declaration order.
-                fields = vars(g).values()
-                children = [v for v in reversed(fields) if isinstance(v, Formula)]
-                if children:
-                    stack.append((g, fields))
-                    stack += children
-                    continue
-                node = (type(g), *fields)
-            node_id = self.node_ids.get(node)
-            if node_id is None:
-                node_id = self.node_ids[node] = len(self.nodes)
-                self.nodes.append(node)
-            seen[id(g)] = node_id
-        return seen[id(f)]
-
-    def label(self, handle: int, node_id: int) -> np.ndarray:
-        """Extension of node `node_id` in state `handle`, as a bool mask.
-        Masks are shared through the cache: never write to one."""
-        key = (handle, node_id)
-        mask = self.labels.get(key)
-        if mask is not None:
-            return mask
-        kind = self.nodes[node_id][0]
-        if kind is not And and kind is not Or:
-            mask = self.labels[key] = self._compute(handle, node_id)
-            return mask
-        # `&` and `|` nest to the left, so a loop folds the unlabelled left
-        # spine of one connective, bottom up: a flat chain of any length is
-        # labelled without recursion, in the order recursion would take.
-        spine, left = [node_id], self.nodes[node_id][1]
-        while self.nodes[left][0] is kind and (handle, left) not in self.labels:
-            spine.append(left)
-            left = self.nodes[left][1]
-        mask = self.label(handle, left)
-        join = operator.and_ if kind is And else operator.or_
-        for n in reversed(spine):
-            mask = self.labels[(handle, n)] = join(mask, self.label(handle, self.nodes[n][2]))
+            key = (handle, id(f))
+            mask = self.labels.get(key)
+            if mask is None:
+                stack.append((key, self._compute(handle, f)))
         return mask
 
-    def _compute(self, handle: int, node_id: int) -> np.ndarray:
+    def _compute(self, handle: int, f: Formula):
+        """Generator of the extension of `f` in state `handle`."""
         domain, event = self.states[handle]
-        kind, *args = self.nodes[node_id]
+        kind = type(f)
         if kind is Top:
             return np.ones_like(domain)
-        if kind is LinIneq:  # the same in every state, so decided at the root
-            return self.label(0, node_id) if handle else _decide_atom(self.model, *args)
+        if kind is LinIneq:
+            mask = self.atoms.get(f)
+            if mask is None:
+                mask = self.atoms[f] = _decide_atom(self.model, f.terms, f.bound)
+            return mask
         if kind is Not:
-            return ~self.label(handle, args[0])
+            return ~(yield handle, f.operand)
+        if kind is And:
+            return (yield handle, f.left) & (yield handle, f.right)
+        if kind is Or:
+            return (yield handle, f.left) | (yield handle, f.right)
         if kind is K:
-            return np.full_like(domain, self.label(handle, args[0])[domain].all())
+            return np.full_like(domain, (yield handle, f.operand)[domain].all())
         if kind is BelCond:
             # Belief in the body among the most plausible cond-worlds;
             # vacuously true when there are none, and then the body is not
             # labelled at all.
-            within = domain & self.label(handle, args[1])
+            within = domain & (yield handle, f.cond)
             best = _argmax_mask(self._values(event), within)
-            holds = not best.any() or self.label(handle, args[0])[best].all()
+            holds = not best.any() or (yield handle, f.body)[best].all()
             return np.full_like(domain, holds)
         if kind is BelObs:
-            best = _argmax_mask(self._values(self._after(event, args[1])), domain)
-            return np.full_like(domain, self.label(handle, args[0])[best].all())
+            best = _argmax_mask(self._values(self._after(event, f.obs)), domain)
+            return np.full_like(domain, (yield handle, f.body)[best].all())
         if kind is DynObs:
-            return self.label(self._state(domain, self._after(event, args[0])), args[1])
-        return self._announce(handle, args[0], args[1])
+            return (yield self._state(domain, self._after(event, f.obs)), f.body)
+        if kind is DynAnn:
+            return (yield from self._announce(handle, f))
+        raise TypeError(f"not a formula: {f!r}")
 
     def _after(self, event: ObservationEvent, obs) -> ObservationEvent:
         return event_concat(event, observe(self.model.alphabet, obs))
@@ -628,9 +608,10 @@ class _Evaluator:
             self.states.append((domain, event))
         return self.state_ids[key]
 
-    def _announce(self, handle: int, ann_id: int, body_id: int) -> np.ndarray:
+    def _announce(self, handle: int, f: DynAnn):
+        """Generator of the extension of the announcement `f` in state `handle`."""
         domain, event = self.states[handle]
-        ann = domain & self.label(handle, ann_id)
+        ann = domain & (yield handle, f.ann)
         if self.skip_relativization:
             # Deliberately broken semantics for mutation testing: evaluate
             # the body after the announcement regardless of whether the
@@ -639,11 +620,11 @@ class _Evaluator:
             for i in np.flatnonzero(domain):
                 kept = ann.copy()
                 kept[i] = True
-                out[i] = self.label(self._state(kept, event), body_id)[i]
+                out[i] = (yield self._state(kept, event), f.body)[i]
             return out
         if not ann.any():
             return ~ann
-        return ~ann | self.label(self._state(ann, event), body_id)
+        return ~ann | (yield self._state(ann, event), f.body)
 
 
 def _world_index(model: Model, world) -> int:
@@ -662,41 +643,30 @@ def _world_index(model: Model, world) -> int:
 def satisfies(model: Model, world, f: Formula) -> bool:
     """True iff `f` holds at `world` (a MassFunction or index) in `model`."""
     index = _world_index(model, world)
-    ev = _Evaluator(model)
-    return bool(ev.label(0, ev.compile(f))[index])
+    return bool(_Evaluator(model).label(0, f)[index])
 
 
 def check(model: Model, world, f: Formula) -> CheckResult:
     """Like `satisfies`, with verdicts for the immediate subformulas."""
     index = _world_index(model, world)
     ev = _Evaluator(model)
-    root = ev.compile(f)
-    verdict = bool(ev.label(0, root)[index])
-    # The node lists the fields in order, Formula fields as child ids.
-    subs = [
-        (sub, child)
-        for sub, child in zip(vars(f).values(), ev.nodes[root][1:])
-        if isinstance(sub, Formula)
-    ]
+    verdict = bool(ev.label(0, f)[index])
+    subs = [sub for sub in vars(f).values() if isinstance(sub, Formula)]
     if type(f) is BelCond and f.cond == TOP:
         subs = subs[:1]  # a simple belief: its condition T is implicit
-    trace = [
-        (print_formula(sub), bool(ev.label(0, child)[index]))
-        for sub, child in subs
-    ]
+    trace = [(print_formula(sub), bool(ev.label(0, sub)[index])) for sub in subs]
     return CheckResult(verdict, index, trace)
 
 
 def extension(model: Model, f: Formula, *, skip_relativization=False) -> Proposition:
     """The set of worlds of `model` satisfying `f`."""
-    ev = _Evaluator(model, skip_relativization)
-    return Proposition.of(np.flatnonzero(ev.label(0, ev.compile(f))).tolist())
+    mask = _Evaluator(model, skip_relativization).label(0, f)
+    return Proposition.of(np.flatnonzero(mask).tolist())
 
 
 def valid_in_model(model: Model, f: Formula, *, skip_relativization=False) -> bool:
     """True iff `f` holds at every world of `model`."""
-    ev = _Evaluator(model, skip_relativization)
-    return bool(ev.label(0, ev.compile(f)).all())
+    return bool(_Evaluator(model, skip_relativization).label(0, f).all())
 
 
 # ---------------------------------------------------------------------------

@@ -540,8 +540,60 @@ class TestEntryPoints:
         model = init_state(simplex_grid(coin, 10), ENTROPY)
         for cond, states in [("w(H) >= 2", 1), ("w(H) >= 1/2", 2)]:
             ev = logic._Evaluator(model)
-            assert ev.label(0, ev.compile(parse(f"B([H] T | {cond})", coin))).all()
+            assert ev.label(0, parse(f"B([H] T | {cond})", coin)).all()
             assert len(ev.states) == states, cond
+
+    @pytest.mark.parametrize(
+        "f",
+        [0, "T", And(TOP, 0), And(Not(TOP), 0), K(3), Not(0), Or(TOP, "T")],
+        ids=["int", "str", "and_int", "and_not_int", "k_int", "not_int", "or_str"],
+    )
+    @pytest.mark.parametrize(
+        "entry", ["extension", "satisfies", "valid_in_model", "check"]
+    )
+    def test_non_formula_raises_type_error(self, coin, f, entry):
+        model = init_state(simplex_grid(coin, 10), ENTROPY)
+        call = {
+            "extension": lambda: extension(model, f),
+            "satisfies": lambda: satisfies(model, 0, f),
+            "valid_in_model": lambda: valid_in_model(model, f),
+            "check": lambda: check(model, 0, f),
+        }[entry]
+        with pytest.raises(TypeError, match="not a formula"):
+            call()
+
+    @pytest.mark.parametrize("prefix", ["~", "K ", "B ", "[H] ", "[w(H) >= 1/2] "])
+    def test_deepest_parse_checks_and_prints(self, coin, prefix):
+        lo, hi = 1, 5000  # parse accepts lo prefixes and rejects hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                parse(prefix * mid + "T", coin)
+                lo = mid
+            except ParseError:
+                hi = mid
+        text = prefix * lo + "T"
+        f = parse(text, coin)
+        model = init_state(simplex_grid(coin, 10), ENTROPY)
+        # Over T, each prefix applied twice is the same as not at all.
+        same = parse(prefix * (lo % 2) + "T", coin)
+        assert extension(model, f) == extension(model, same)
+        assert print_formula(f) == text
+
+    def test_formulas_deeper_than_any_parse(self, coin):
+        model = init_state(simplex_grid(coin, 10), ENTROPY)
+        atom = parse(W_H_HALF, coin)
+        negations = atom
+        for _ in range(10_000):
+            negations = Not(negations)
+        assert extension(model, negations) == extension(model, atom)
+        believed = belief(parse("w(H) >= 9/10", coin))  # false before sampling
+        samples = believed
+        for _ in range(2_000):
+            samples = DynObs(("H",), samples)
+        sampled = update_sampling(model, observe(coin, ("H",) * 2_000))
+        assert not extension(model, believed).members
+        assert extension(model, samples) == extension(sampled, believed)
 
 
 def fraction_extension(model, atom):
