@@ -13,7 +13,14 @@ twice the tie tolerance, cannot tie the maximum inside the block; only the
 other worlds get a value at every step.  The argument is in `run_trial`.
 
 A Bayesian learner over the same finite world set (uniform prior, ball
-posterior above `BASELINE_THRESHOLD`) is available as a paired baseline.
+posterior above `BASELINE_THRESHOLD`) is available as a paired baseline.  It
+screens its horizon in the same blocks: inside a block only the worlds within
+`_BASELINE_SCREEN` nats of the block-end leader before the block get a value
+at every step, the mass of the others is bounded, and a step whose ball mass
+lies further from the threshold than that bound plus the float error of both
+computations gets the flag that computing every world would give; any other
+step is recomputed from every world.  The argument is in
+`bayesian_baseline_trial`.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from .plausibility import (
 from .simplex import (
     MassFunction,
     _distances,
-    epsilon_ball,
     sample_stream,
 )
 
@@ -66,12 +72,18 @@ class TrialConfig:
     record_trace: bool = False
 
     def resolved_epsilon(self) -> float:
+        return self._epsilon(None)
+
+    def _epsilon(self, distances: np.ndarray | None) -> float:
+        """`resolved_epsilon`, from the truth's `distances` to the worlds
+        when they are given."""
         if self.epsilon is not None:
             if not self.epsilon > 0:
                 raise ValueError("epsilon must be positive")
             return self.epsilon
-        others = _distances(self.truth, self.worlds)[
-            [w != self.truth for w in self.worlds]]
+        if distances is None:
+            distances = _distances(self.truth, self.worlds)
+        others = distances[[w != self.truth for w in self.worlds]]
         if not others.size:
             return 1.0
         return float(others.min()) / 2
@@ -134,14 +146,20 @@ class _Shared:
 
 def _share(cfg: TrialConfig) -> _Shared:
     model = init_state(cfg.worlds, cfg.plausibility)
-    ball = epsilon_ball(cfg.truth, cfg.resolved_epsilon(), list(cfg.worlds)).members
-    order = np.array(sorted(range(len(cfg.worlds)), key=lambda i: i not in ball))
+    # One distance table gives both the isolation radius and the ball.
+    distances = _distances(cfg.truth, cfg.worlds)
+    eps = cfg._epsilon(distances)
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    inside = distances < eps
+    order = np.argsort(~inside, kind="stable")
     try:
         truth_base = float(model.base_log[cfg.worlds.index(cfg.truth)])
     except ValueError:
         truth_base = None
     return _Shared(
-        order, len(ball), model.base_log[order], model.log_weights[order], truth_base
+        order, int(inside.sum()), model.base_log[order], model.log_weights[order],
+        truth_base,
     )
 
 
@@ -165,6 +183,15 @@ def _screen_steps(worlds: int) -> int:
     block holds, so a small world set pays the screen's per-block cost no
     more often than the unscreened loop pays a kernel call."""
     return max(_SCREEN_STEPS, _BLOCK_CELLS // worlds)
+
+
+def _block_ends(base_log: np.ndarray, log_weights: np.ndarray, counts: np.ndarray):
+    """The last step of each block of the screen over the rows of `counts`,
+    with the kernel's values of every world there."""
+    steps = _screen_steps(len(base_log))
+    ends = np.append(np.arange(steps - 1, len(counts) - 1, steps), len(counts) - 1)
+    rows = itertools.chain.from_iterable(_blocks(base_log, log_weights, counts[ends]))
+    return zip(ends.tolist(), rows)
 
 
 def _settled(fails: list[np.ndarray], horizon: int, final_argmax, trace=None):
@@ -214,14 +241,10 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
         return TrialResult(False, None, frozenset())
 
     counts = _cumulative_counts(sample_stream(cfg.truth, cfg.horizon, cfg.seed))
-    steps = _screen_steps(len(shared.order))
-    ends = np.append(np.arange(steps - 1, cfg.horizon - 1, steps), cfg.horizon - 1)
-    end_rows = itertools.chain.from_iterable(
-        _blocks(shared.base_log, shared.log_weights, counts[ends]))
     trace: list[frozenset[int]] | None = [] if cfg.record_trace else None
     best_in, best_out = [], []
     before, start = shared.base_log, 0
-    for end, row in zip(ends.tolist(), end_rows):
+    for end, row in _block_ends(shared.base_log, shared.log_weights, counts):
         kept = np.flatnonzero(
             _ties(before, row.max(), 2 * plausibility.TIE_TOLERANCE))
         # `kept` is sorted, so the kept worlds of the ball come first.
@@ -274,6 +297,33 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 #: Ball posterior mass above which the Bayesian baseline has settled.
 BASELINE_THRESHOLD = 0.95
 
+#: Nats below the block-end leader under which the baseline's screen leaves
+#: a world out of a block (see `bayesian_baseline_trial`).
+_BASELINE_SCREEN = 40.0
+
+
+def _ball_mass(log_post: np.ndarray, inside: int) -> np.ndarray:
+    """Each row's posterior mass on its first `inside` columns:
+    exp(lse(ball) - lse(row)), NaN in a row of -inf."""
+    norm = _logsumexp_rows(log_post)
+    with np.errstate(invalid="ignore"):
+        return np.exp(_logsumexp_rows(log_post[:, :inside]) - norm)
+
+
+def _full_ball_mass(prior: np.ndarray, log_weights: np.ndarray, counts: np.ndarray,
+                    inside: int) -> np.ndarray:
+    """`_ball_mass` of every world's values after each row of `counts`: the
+    unscreened computation, which the screen falls back on."""
+    return np.concatenate(
+        [_ball_mass(values, inside) for values in _blocks(prior, log_weights, counts)])
+
+
+def _mass_error(entries: int, top: np.ndarray) -> np.ndarray:
+    """Bound on the float error of `_ball_mass` against the exact ball mass
+    of the same values, for rows of `entries` values whose maximum is `top`
+    (derived in `bayesian_baseline_trial`)."""
+    return 2 * np.expm1(2.0**-50 * (entries * entries + 8 * entries + np.abs(top))) + 2.0**-48
+
 
 def bayesian_baseline_trial(
     cfg: TrialConfig, shared: _Shared | None = None
@@ -282,21 +332,97 @@ def bayesian_baseline_trial(
     settled when the epsilon-ball's posterior mass exceeds `BASELINE_THRESHOLD`.
 
     Unlike `run_trial` this tolerates a truth outside the world set: the
-    ball may then be empty and the learner simply never settles."""
+    ball may then be empty and the learner simply never settles.
+
+    Each step's flag is the unscreened computation's: every world's log
+    posterior (the kernel's value from the uniform prior), the ball mass
+    `_ball_mass` of that row, and a failure unless it exceeds the threshold
+    (a NaN mass, every world at -inf, fails).  The horizon is screened in
+    the blocks of `run_trial`, and every flag is still that one:
+
+    1. Monotonicity.  As shown in `run_trial`, no world's value rises from
+       one step to the next.  So if L is the largest value at a block's last
+       step, the maximum M at each step of the block is at least L, and a
+       world is at most its value v0 before the block.
+    2. Dropped mass.  Every world's value is computed at each block's end;
+       at the block's other steps, only the worlds with v0 >= fl(L - K),
+       K = `_BASELINE_SCREEN`, are.  All are kept when L is -inf.  Values
+       are at most 0, so with u = 2^-53, fl(L - K) <= L - K + u(|L| + K): a
+       dropped world's term e^v is below e^(M - K + u(|L| + K)) at each step.
+       A maximal world is kept, so with d worlds dropped, the sums over all
+       worlds exceed those over the kept ones by less than
+       delta = d e^(u(|L| + K) - K) times the kept total, and the exact ball
+       masses p (all worlds) and p' (kept worlds) of the same float values
+       differ by at most delta.  The kernel computes each world's value
+       alone, so the kept worlds' values are the unscreened ones.
+    3. Float error (Higham, Accuracy and Stability of Numerical Algorithms,
+       2002, ch. 4; Blanchard, Higham & Higham, IMA J. Numer. Anal., 2021).
+       Assume numpy's exp, log and log1p within 4 ulp (relative error 8u),
+       an exp in or below the subnormal range off by at most 2^-1074, and any
+       order of summation: m terms sum within gamma_m = mu / (1 - mu) times
+       the sum of their magnitudes.  For a row of m values with a finite
+       maximum `top`, `_logsumexp_rows` forms t (the count at `top`) and
+       r = sum of exp(x - top) over the others, r <= m.  fl(x - top) is
+       within u|x - top| of x - top, so each exp term is within
+       1.01u + 8u exp(x - top) + 2^-1074 of its exact value, using
+       e^-y (e^(By) - 1) <= B / (1 - B) for y >= 0, 0 <= B < 1.  With the
+       sum, r / t, log1p(r / t) and log(t) (log1p is 1-Lipschitz on
+       [0, inf)), s = log(t + r) comes out within u(1.1 m^2 + 27 m);
+       adding `top` rounds once more, by u(|top| + log m + ...).  The
+       ball's maximum lies at most |D| + log m below `top`, where D <= 0 is
+       the exact log ball mass, so the computed difference of the two
+       log-sum-exps, D', is within A + B|D| of D, with
+       A = 1.01u(2.2 m^2 + 57 m + 2|top|) and B = 2.01u.  Then
+       |e^D' - e^D| <= expm1(A) + B / (1 - B), the final exp adds 8u, and
+       `_mass_error(m, top)`, 2 expm1(2^-50 (m^2 + 8m + |top|)) + 2^-48,
+       bounds the error by at least a factor 2.  The bound grows with |top| because both
+       log-sum-exps add `top` before they are subtracted.  A ball whose
+       values are all -inf has mass exactly 0 either way.
+    4. Decision.  Both computations see the same `top`, a maximal world
+       being kept.  The margin is _mass_error(n, top) for the unscreened
+       row of n worlds, plus _mass_error(k, top) for the k kept worlds,
+       plus 2 delta; each term is at least twice its bound, which absorbs
+       the rounding of the margin and of the distance to the threshold.
+       Where the screened mass lies further than the margin from the
+       threshold, the unscreened mass lies on the same side.  A NaN
+       screened mass means every kept world, a maximal one among them, is
+       at -inf, so the unscreened mass is NaN too: both fail.
+    5. Fallback.  Each other step is recomputed from every world's values
+       by the unscreened computation (`_full_ball_mass`).  The final argmax
+       comes from the last step's row of every world, normalised as before.
+    """
     shared = shared or _share(cfg)
     if cfg.horizon < 1:
         return TrialResult(False, None, frozenset())
 
+    threshold, screen = BASELINE_THRESHOLD, _BASELINE_SCREEN
     counts = _cumulative_counts(sample_stream(cfg.truth, cfg.horizon, cfg.seed))
-    prior = np.full(len(shared.order), -math.log(len(shared.order)))
+    worlds = len(shared.order)
+    prior = np.full(worlds, -math.log(worlds))
     fails = []
-    for log_post in _blocks(prior, shared.log_weights, counts):
-        norm = _logsumexp_rows(log_post)
-        with np.errstate(invalid="ignore"):
-            ball_mass = np.exp(_logsumexp_rows(log_post[:, :shared.inside]) - norm)
-        # NaN (every world at plausibility 0) fails, as a mass of 0 does.
-        fails.append(~(ball_mass > BASELINE_THRESHOLD))
-    last = log_post[-1] - norm[-1] if norm[-1] > -math.inf else log_post[-1]
+    before, start = prior, 0
+    for end, row in _block_ends(prior, shared.log_weights, counts):
+        leader = row.max()
+        kept = np.flatnonzero(before >= leader - screen)
+        dropped = worlds - kept.size
+        slack = (2 * dropped * math.exp(2.0**-53 * (abs(leader) + screen) - screen)
+                 if dropped else 0.0)
+        # `kept` is sorted, so the kept worlds of the ball come first.
+        inside = np.searchsorted(kept, shared.inside)
+        for values in _blocks(prior[kept], shared.log_weights[kept], counts[start:end + 1]):
+            mass = _ball_mass(values, inside)
+            top = values.max(axis=1)
+            margin = _mass_error(worlds, top) + _mass_error(kept.size, top) + slack
+            close = np.flatnonzero(np.abs(mass - threshold) <= margin)
+            if close.size:
+                mass[close] = _full_ball_mass(
+                    prior, shared.log_weights, counts[start + close], shared.inside)
+            # NaN (every world at plausibility 0) fails, as a mass of 0 does.
+            fails.append(~(mass > threshold))
+            start += len(values)
+        before = row
+    norm = _logsumexp_rows(row[None])[0]
+    last = row - norm if norm > -math.inf else row
     return _settled(fails, cfg.horizon, shared.worlds_of(_tie_mask(last)))
 
 

@@ -1,5 +1,7 @@
 import math
 import random
+from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -28,12 +30,14 @@ from plausilearn import (
     tabulated,
     trial_seeds,
 )
-from plausilearn import convergence
+from plausilearn import convergence, plausibility, simplex
 from plausilearn.convergence import (
     TruthNotInWorldsError,
     ZeroPlausibilityTruthError,
+    _ball_mass,
     _blocks,
     _logsumexp_rows,
+    _mass_error,
     _screen_steps,
     _share,
 )
@@ -112,6 +116,24 @@ class TestResolvedEpsilon:
     def test_singleton_world_set(self, coin, fair_coin):
         cfg = coin_config(coin, [fair_coin], fair_coin, 10)
         assert cfg.resolved_epsilon() == 1.0
+
+    def test_share_builds_one_distance_table(self, urn):
+        # The isolation radius and the ball come from one table of
+        # distances, so leaving epsilon to be resolved costs no extra pass.
+        grid = tuple(simplex_grid(urn, 12))
+        truth = mass_function(urn, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+        calls = []
+        for eps in (None, 0.15):
+            cfg = TrialConfig(grid, ENTROPY, truth, 10, 0, eps)
+            wrapped = mock.Mock(wraps=simplex._weights)
+            with mock.patch.object(simplex, "_weights", wrapped), \
+                    mock.patch.object(plausibility, "_weights", wrapped):
+                shared = _share(cfg)
+            calls.append(wrapped.call_count)
+            ball = epsilon_ball(truth, cfg.resolved_epsilon(), list(grid)).members
+            assert shared.inside == len(ball)
+            assert set(shared.order[:shared.inside].tolist()) == ball
+        assert calls[0] == calls[1]
 
 
 class TestRunTrial:
@@ -528,6 +550,169 @@ class TestBaseline:
         theirs = bayesian_baseline_trial(cfg)
         assert ours.settled and theirs.settled
         assert ours.final_argmax == theirs.final_argmax
+
+
+def unscreened_baseline_trial(cfg):
+    """`bayesian_baseline_trial` without its screen: every world's log
+    posterior at every step, the computation it replaced, kept as the
+    reference.  Returns (settled, settle time, final argmax), each step's
+    failure flag and each step's ball mass."""
+    shared = _share(cfg)
+    stream = sample_stream(cfg.truth, cfg.horizon, cfg.seed)
+    counts = np.cumsum(np.eye(len(cfg.truth.weights), dtype=np.int64)[
+        list(stream.outcomes)], axis=0)
+    prior = np.full(len(shared.order), -math.log(len(shared.order)))
+    masses = []
+    for log_post in _blocks(prior, shared.log_weights, counts):
+        norm = _logsumexp_rows(log_post)
+        with np.errstate(invalid="ignore"):
+            masses.append(np.exp(_logsumexp_rows(log_post[:, :shared.inside]) - norm))
+    masses = np.concatenate(masses)
+    flags = ~(masses > convergence.BASELINE_THRESHOLD)
+    failing = np.flatnonzero(flags)
+    last_failure = int(failing[-1]) + 1 if failing.size else 0
+    settled = last_failure < cfg.horizon
+    last = log_post[-1] - norm[-1] if norm[-1] > -math.inf else log_post[-1]
+    final = shared.worlds_of(_tie_mask(last))
+    return (settled, last_failure + 1 if settled else None, final), flags, masses
+
+
+def screened_baseline_trial(cfg):
+    """`bayesian_baseline_trial` with its full-row fallback watched: returns
+    (settled, settle time, final argmax), each step's failure flag, and how
+    many rows the fallback recomputed."""
+    settled = mock.Mock(wraps=convergence._settled)
+    fallback = mock.Mock(wraps=convergence._full_ball_mass)
+    with mock.patch.object(convergence, "_settled", settled), \
+            mock.patch.object(convergence, "_full_ball_mass", fallback):
+        result = bayesian_baseline_trial(cfg)
+    flags = np.concatenate(settled.call_args.args[0])
+    recomputed = sum(len(call.args[2]) for call in fallback.call_args_list)
+    return (result.settled, result.settle_time, result.final_argmax), flags, recomputed
+
+
+@st.composite
+def baseline_cases(draw):
+    outcomes = draw(st.integers(2, 4))
+    alphabet = make_alphabet([f"o{i}" for i in range(outcomes)])
+    grid = simplex_grid(alphabet, draw(st.integers(1, {2: 25, 3: 25, 4: 12}[outcomes])))
+    kind = draw(st.sampled_from(["grid", "face", "subset"]))
+    if kind == "face":
+        # Every world has weight 0 on o0, so once the truth draws o0 every
+        # world is at -inf and every later row's ball mass is NaN.
+        worlds = [w for w in grid if w.weights[0] == 0]
+    elif kind == "subset":
+        worlds = [grid[i] for i in sorted(draw(st.sets(
+            st.integers(0, len(grid) - 1), min_size=1, max_size=len(grid))))]
+    else:
+        worlds = grid
+    # The truth may lie outside the world set; isolation mode then gives
+    # an empty ball.
+    truth = draw(st.sampled_from(grid))
+    if kind == "face":
+        assume(truth.weights[0] > 0)
+    cells = draw(st.sampled_from([64, 4096, 2**14]))
+    with mock.patch.object(convergence, "_BLOCK_CELLS", cells):
+        steps = _screen_steps(len(worlds))
+    blocks = draw(st.integers(0, 5))
+    horizon = draw(st.one_of(
+        st.integers(1, steps - 1),  # shorter than one block
+        st.just(max(1, blocks) * steps),  # whole blocks
+        st.integers(1, steps - 1).map(lambda r: blocks * steps + r),
+    ))
+    eps = draw(st.one_of(st.none(), st.floats(0.02, 0.6)))
+    cfg = TrialConfig(tuple(worlds), ENTROPY, truth, horizon, draw(st.integers(0, 2**32)),
+                      eps)
+    # A narrow screen drops worlds whose mass can move a flag, so only the
+    # dropped-mass term and the fallback keep those flags right.
+    screen = draw(st.sampled_from([40.0, 8.0, 1.0]))
+    return cfg, cells, screen
+
+
+def exact_ball_mass(row, inside):
+    """The ball mass of the float values in `row`, to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        top = Decimal(max(row))
+        terms = [(Decimal(x) - top).exp() if x > -math.inf else Decimal(0) for x in row]
+        return float(sum(terms[:inside], Decimal(0)) / sum(terms, Decimal(0)))
+
+
+class TestBaselineScreen:
+    """The screened `bayesian_baseline_trial` against the unscreened one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=baseline_cases())
+    def test_matches_unscreened(self, case):
+        cfg, cells, screen = case
+        with mock.patch.object(convergence, "_BLOCK_CELLS", cells), \
+                mock.patch.object(convergence, "_BASELINE_SCREEN", screen):
+            expected, expected_flags, _ = unscreened_baseline_trial(cfg)
+            got, flags, _ = screened_baseline_trial(cfg)
+        assert got == expected
+        assert np.array_equal(flags, expected_flags)
+
+    @pytest.mark.parametrize("screen", [40.0, 4.0])
+    def test_fallback_decides_at_the_threshold(self, coin, screen):
+        # A threshold equal to a ball mass the unscreened computation
+        # produces, or one float either side of it, is closer to the
+        # screened mass than any bound allows: the full row decides.  Under
+        # an all-heads stream the leader, the vertex, keeps its value, so at
+        # a 4-nat screen the dropped worlds hold about 0.5% of the mass at
+        # the chosen step, where only the dropped-mass term sends the step
+        # to the fallback.
+        grid = tuple(simplex_grid(coin, 25))
+        vertex = mass_function(coin, [1, 0])
+        cfg = TrialConfig(grid, ENTROPY, vertex, 200, 3, 0.05)
+        with mock.patch.object(convergence, "_BASELINE_SCREEN", screen), \
+                mock.patch.object(convergence, "_BLOCK_CELLS", 64):
+            assert _screen_steps(len(grid)) == 64
+            _, _, masses = unscreened_baseline_trial(cfg)
+            mass = masses[130]  # the third block's third step
+            assert 0.99 < mass < 0.999
+            for threshold in (mass, np.nextafter(mass, 0), np.nextafter(mass, 1)):
+                with mock.patch.object(convergence, "BASELINE_THRESHOLD", float(threshold)):
+                    expected, expected_flags, _ = unscreened_baseline_trial(cfg)
+                    got, flags, recomputed = screened_baseline_trial(cfg)
+                assert got == expected
+                assert np.array_equal(flags, expected_flags)
+                assert recomputed >= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.floats(0, 50), st.just(math.inf)),
+                        min_size=1, max_size=30),
+        top=st.sampled_from([0.0, -7.0, -1e3, -1e6, -1e9, -1e12]),
+        cut=st.integers(0, 30),
+    )
+    def test_mass_error_bounds_the_float_error(self, values, top, cut):
+        # `_ball_mass` against the exact ball mass of the same floats, for
+        # rows whose values lie at and below `top`: the error grows with
+        # |top|, and the bound must cover it.
+        row = np.array([top - v for v in values])
+        row[0] = top
+        inside = min(cut, len(row))
+        got = _ball_mass(row[None], inside)[0]
+        exact = exact_ball_mass(row, inside)
+        assert abs(got - exact) <= _mass_error(len(row), top)
+
+    def test_screen_computes_few_cells(self):
+        # The benchmark's grid: 50 seeded trials compute at most 35% of the
+        # horizon's cells, and the decisions never need the fallback.
+        urn = make_alphabet(["R", "B", "G"])
+        grid = tuple(simplex_grid(urn, 30))
+        truth = mass_function(urn, [Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)])
+        cfg = TrialConfig(grid, ENTROPY, truth, 2000, 0, 0.15)
+        shared = _share(cfg)
+        kernel = mock.Mock(wraps=convergence._log_plausibilities)
+        fallback = mock.Mock(wraps=convergence._full_ball_mass)
+        with mock.patch.object(convergence, "_log_plausibilities", kernel), \
+                mock.patch.object(convergence, "_full_ball_mass", fallback):
+            for seed in trial_seeds(1, 50):
+                bayesian_baseline_trial(replace(cfg, seed=seed), shared)
+        cells = sum(len(call.args[0]) * len(call.args[2]) for call in kernel.call_args_list)
+        assert cells <= 0.35 * 50 * cfg.horizon * len(grid)
+        assert not fallback.called
 
 
 class TestExperiment:
