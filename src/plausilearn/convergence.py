@@ -12,6 +12,15 @@ before a block is already below the leader's value at the block's end, by
 twice the tie tolerance, cannot tie the maximum inside the block; only the
 other worlds get a value at every step.  The argument is in `run_trial`.
 
+Two kernels compute a trial's values.  The reference kernel
+(`plausibility._log_plausibilities`, the one `condition` uses) computes every
+world at each block's last step, so the screen's kept sets, the final argmax
+and the screen's argument rest on its floats alone.  Inside a block one
+matmul computes the kept worlds; its floats may round differently, so each of
+its decisions is certified against the reference kernel's by a float-error
+bound, and a row it cannot certify is recomputed by the reference kernel.
+The bound is derived in `run_trial`.
+
 A Bayesian learner over the same finite world set (uniform prior, ball
 posterior above `BASELINE_THRESHOLD`) is available as a paired baseline.  It
 screens its horizon in the same blocks: inside a block only the worlds within
@@ -139,6 +148,10 @@ class _Shared:
     base_log: np.ndarray
     log_weights: np.ndarray
     truth_base: float | None
+    #: `log_weights` with each -inf (a zero weight) set to 0.
+    live_weights: np.ndarray
+    #: Twice the largest |base_log| of a world not at -inf.
+    base_bound: float
 
     def worlds_of(self, mask: np.ndarray) -> frozenset[int]:
         return frozenset(self.order[mask].tolist())
@@ -153,13 +166,17 @@ def _share(cfg: TrialConfig) -> _Shared:
         raise ValueError("eps must be positive")
     inside = distances < eps
     order = np.argsort(~inside, kind="stable")
-    try:
-        truth_base = float(model.base_log[cfg.worlds.index(cfg.truth)])
-    except ValueError:
-        truth_base = None
+    # A world equal to the truth is at distance exactly 0; `==` rules out a
+    # distance that underflowed to 0.
+    truth = next((i for i in np.flatnonzero(distances == 0).tolist()
+                  if cfg.worlds[i] == cfg.truth), None)
+    truth_base = None if truth is None else float(model.base_log[truth])
+    base_log, log_weights = model.base_log[order], model.log_weights[order]
+    finite = np.abs(base_log[base_log > -math.inf])
     return _Shared(
-        order, int(inside.sum()), model.base_log[order], model.log_weights[order],
-        truth_base,
+        order, int(inside.sum()), base_log, log_weights, truth_base,
+        np.where(log_weights > -math.inf, log_weights, 0.0),
+        2 * float(finite.max(initial=0.0)),
     )
 
 
@@ -194,6 +211,61 @@ def _block_ends(base_log: np.ndarray, log_weights: np.ndarray, counts: np.ndarra
     return zip(ends.tolist(), rows)
 
 
+def _maxima(values: np.ndarray, inside: int):
+    """Each row's maximum over its first `inside` columns and over the rest."""
+    return (values[:, :inside].max(axis=1, initial=-math.inf),
+            values[:, inside:].max(axis=1, initial=-math.inf))
+
+
+def _doubtful(best, values, bound: float, gamma: float) -> np.ndarray:
+    """Mask of the tie tests of `values` against `best` (see `_ties`) whose
+    gap lies within 3E of 0, E = gamma * (bound + max(|best|, |value|)):
+    those that `run_trial` cannot certify.  An entry at -inf gives a NaN
+    gap, which is never doubtful: -inf is exact in both kernels."""
+    with np.errstate(invalid="ignore"):
+        tol = plausibility.TIE_TOLERANCE
+        gap = best - values - tol * np.maximum(np.maximum(best, 1.0), -values)
+        error = gamma * (bound + np.maximum(np.abs(best), np.abs(values)))
+        return np.abs(gap) <= 3 * error
+
+
+def _certified_blocks(shared: _Shared, kept: np.ndarray, inside: int,
+                      counts: np.ndarray, last: np.ndarray, trace: bool):
+    """The values of the `kept` worlds after each row of `counts` (`last`:
+    the reference kernel's after its last row), in blocks as `_blocks`,
+    each with its rows' maxima inside and outside the ball.  One matmul
+    computes a block; each row whose step decision, or with `trace` any of
+    whose tie tests, it cannot certify is recomputed by `_blocks` (see
+    `run_trial`)."""
+    base, live = shared.base_log[kept], shared.live_weights[kept]
+    # A world with a finite base is at -inf after the last row only through
+    # a zero weight on an outcome seen by then, and is at -inf exactly from
+    # the row whose counts of its zero-weight outcomes turn positive.
+    dying = np.flatnonzero(last == -math.inf)
+    if dying.size:
+        zeros = (shared.log_weights[kept[dying]] == -math.inf).T.astype(float)
+    terms = live.shape[1] + 1  # k products and the base
+    gamma = 4 * terms * 2.0**-53 / (1 - terms * 2.0**-53)  # twice E's gamma
+    rows = max(1, _BLOCK_CELLS // len(kept))
+    for start in range(0, len(counts), rows):
+        block = counts[start:start + rows].astype(float)
+        values = block @ live.T
+        values += base
+        if dying.size:
+            values[:, dying] = np.where(block @ zeros > 0, -math.inf, values[:, dying])
+        ins, outs = _maxima(values, inside)
+        best = np.maximum(ins, outs)
+        doubt = _doubtful(best, outs, shared.base_bound, gamma)
+        if trace:
+            doubt |= _doubtful(best[:, None], values, shared.base_bound, gamma).any(axis=1)
+        redo = np.flatnonzero(doubt)
+        if redo.size:
+            values[redo] = np.concatenate(list(
+                _blocks(base, shared.log_weights[kept], counts[start + redo])))
+            ins, outs = _maxima(values, inside)
+        yield values, ins, outs
+
+
 def _settled(fails: list[np.ndarray], horizon: int, final_argmax, trace=None):
     """Result from each step's failure flags: settled from the step after
     the last failure, when that step is within the horizon."""
@@ -208,8 +280,8 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
     """Simulate one stream and report when belief settles in the ball.
 
     Every prefix of the stream is conditioned on at once, from cumulative
-    counts, by the kernel `condition` uses, so each step's values are
-    bit-identical to conditioning one observation at a time.  A step fails
+    counts, and each step decides as the kernel `condition` uses would, so
+    as conditioning one observation at a time does.  A step fails
     when the most plausible world outside the ball ties the maximum.
     `run_experiment` passes `shared`, computed once for all its trials.
 
@@ -229,6 +301,45 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
     Dropping such worlds changes no tie set, and a maximal world at any
     step is at least L before the block, so it is kept and the maxima
     inside and outside the ball decide each step as before.
+
+    Which kernel computes which rows: every block-end row, and so `before`,
+    L, the kept sets and the final argmax, comes from the reference kernel,
+    as does every row below that the matmul cannot certify.  The argument
+    above is about the reference kernel's values alone and is unchanged: a
+    certified row decides as the reference kernel's row of the kept worlds
+    would, and that row decides as the unscreened one.
+
+    The matmul computes each block of steps for the kept worlds as
+    V' = base + counts @ W.T, with W the log weights whose -inf entries (zero
+    weights) are set to 0; a world with a zero weight on an outcome already
+    seen is then set to -inf.  The reference kernel's V is -inf exactly
+    there and where base is -inf (no finite sum overflows), so both have the
+    same -inf pattern, and tie tests involving -inf are decided alike.  For
+    a finite cell, both V and V' are the exact X = base + sum_j c_j lw_j
+    computed from the same k + 1 terms (k outcomes, each product rounded
+    once, c_j exact) in some order, so each lies within gamma_{k+1} S of X,
+    S = |base| + sum_j c_j |lw_j|, gamma_n = n u / (1 - n u), u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Sec. 3.1
+    and ch. 4; a BLAS may sum in any order and fuse multiply-adds).  As
+    lw_j <= 0, S - |base| = |X - base|, so S <= 2|base| + |X| <=
+    2B + |V'| + gamma_{k+1} S, B the largest finite |base| of any world, and
+    |V - V'| <= 2 gamma_{k+1} (2B + |V'|) / (1 - gamma_{k+1}).  E =
+    4 gamma_{k+1} (2B + |V'|) is at least that, doubled.  A tie test of a
+    value v against a row maximum `best` decides by the sign of the gap
+    best - v - tol * max(1, best, -v), which moves by at most (1 + tol)
+    times the errors of v and of `best`; the maximum's error is that of the
+    world at it, whose |V'| is within that error of |best'|.  With E taken
+    at max(|best'|, |v'|), the two errors come to less than 1.01 E, and the
+    rounding of the gap itself, a few u (|best| + |v|), is far below E.  So
+    where the matmul's gap lies further than 3E from 0 (`_doubtful`), the
+    reference kernel's gap has the same sign.  Each row's step decision is
+    the test of the best value outside the ball against the row's best; with
+    `record_trace`, every kept world's test against the row's best is
+    certified too.  Any row with a test not certified is recomputed by the
+    reference kernel (`_blocks`), so every decision is the reference
+    kernel's.  E is about 1e-15 of the values while the tie tolerance is
+    1e-9, so a gap lies within 3E of 0 only at the edge of the tolerance
+    itself, and the fallback is rare.
     """
     shared = shared or _share(cfg)
     if shared.truth_base is None:
@@ -250,10 +361,10 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
         # `kept` is sorted, so the kept worlds of the ball come first.
         inside = np.searchsorted(kept, shared.inside)
         worlds = shared.order[kept]
-        for values in _blocks(shared.base_log[kept], shared.log_weights[kept],
-                              counts[start:end + 1]):
-            best_in.append(values[:, :inside].max(axis=1, initial=-math.inf))
-            best_out.append(values[:, inside:].max(axis=1, initial=-math.inf))
+        for values, ins, outs in _certified_blocks(
+                shared, kept, inside, counts[start:end + 1], row[kept], trace is not None):
+            best_in.append(ins)
+            best_out.append(outs)
             if trace is not None:
                 trace.extend(frozenset(worlds[ties].tolist()) for ties in _tie_mask(values))
         before, start = row, end + 1

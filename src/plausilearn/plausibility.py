@@ -12,7 +12,8 @@ log-plausibilities together with the accumulated evidence counts and
 recomputes the current values from those; integer count addition is exactly
 commutative, so any conditioning order yields identical floats.  One kernel
 does that recomputation for one count vector (`condition`) or for a block of
-them at once (the settling simulator), in the same float order; the
+them at once (the settling simulator, which certifies against it the
+decisions of its faster matrix product), in the same float order; the
 log-likelihood of one world (`log_likelihood`) is its one-world case.
 
 A model also holds its world weights exactly, as integer numerators over one

@@ -1,6 +1,15 @@
+import warnings
 from fractions import Fraction
 
 import pytest
+
+# On a failing @given test hypothesis imports its patch writer, whose libcst
+# import raises a DeprecationWarning; under filterwarnings = ["error"] that
+# aborted the whole session.  Importing it once here, with the warning
+# ignored, lets the failure be reported as one failed test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from plausilearn import make_alphabet, mass_function, simplex_grid
 

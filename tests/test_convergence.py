@@ -36,6 +36,7 @@ from plausilearn.convergence import (
     ZeroPlausibilityTruthError,
     _ball_mass,
     _blocks,
+    _certified_blocks,
     _logsumexp_rows,
     _mass_error,
     _screen_steps,
@@ -155,6 +156,28 @@ class TestRunTrial:
         outsider = mass_function(coin, [Fraction(1, 3), Fraction(2, 3)])
         with pytest.raises(TruthNotInWorldsError):
             run_trial(coin_config(coin, three_coins, outsider, 10))
+
+    def test_truth_at_an_underflowing_distance_is_not_a_world(self, coin, three_coins):
+        # 10^-200 off the fair coin: the squared difference underflows, so
+        # the distance is 0, yet the truth is no world.
+        tiny = Fraction(1, 10**200)
+        outsider = mass_function(coin, [Fraction(1, 2) + tiny, Fraction(1, 2) - tiny])
+        cfg = coin_config(coin, three_coins, outsider, 10, epsilon=0.1)
+        assert simplex._distances(outsider, three_coins)[1] == 0
+        with pytest.raises(TruthNotInWorldsError):
+            run_trial(cfg)
+
+    def test_truth_is_its_first_copy(self, coin, three_coins):
+        # An equal but distinct truth object is found, at the first of the
+        # world's copies: that copy's plausibility decides.
+        truth = mass_function(coin, [Fraction(1, 2), Fraction(1, 2)])
+        worlds = (three_coins[0], three_coins[1], three_coins[1])
+        assert truth is not worlds[1]
+        shared = _share(TrialConfig(worlds, tabulated([1.0, 2.0, 3.0]), truth, 10, 0))
+        assert shared.truth_base == math.log(2.0)
+        cfg = TrialConfig(worlds, tabulated([1.0, 0.0, 3.0]), truth, 10, 0)
+        with pytest.raises(ZeroPlausibilityTruthError):
+            run_trial(cfg)
 
     def test_zero_plausibility_truth(self, coin, coin_grid):
         vertex = mass_function(coin, [1, 0])
@@ -322,6 +345,11 @@ def screened_cases(draw):
         fn = ENTROPY if kind == "entropy" else CENTRE_OF_MASS
     base_log = init_state(worlds, fn).base_log
     plausible = [w for w, v in zip(worlds, base_log) if v > -math.inf]
+    if draw(st.booleans()):
+        # The last outcome at its least positive weight: it is first seen
+        # late, often inside a block whose kept worlds with a zero weight
+        # on it go to -inf there.
+        plausible = [w for w in plausible if w.weights[-1] == Fraction(1, resolution)]
     assume(plausible)
     truth = draw(st.sampled_from(plausible))
     # Small `_BLOCK_CELLS` split the block-end rows into several chunks.
@@ -355,6 +383,39 @@ class TestScreen:
         assert result.final_argmax == expected[2]
         assert result.belief_trace == expected[3]
 
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_fallback_decides_at_the_tolerance(self, coin, record_trace):
+        # A tolerance equal to the reference kernel's relative gap between
+        # the best world and the best one outside the ball at a step inside
+        # a block, or one float either side of it, puts that step's tie test
+        # closer to its edge than the matmul can certify: the reference
+        # kernel decides it.
+        grid = tuple(simplex_grid(coin, 25))
+        truth = mass_function(coin, [Fraction(3, 5), Fraction(2, 5)])
+        cfg = TrialConfig(grid, ENTROPY, truth, 200, 3, 0.05, record_trace=record_trace)
+        shared = _share(cfg)
+        with mock.patch.object(convergence, "_BLOCK_CELLS", 64):
+            assert _screen_steps(len(grid)) == 64
+            counts = np.cumsum(np.eye(2, dtype=np.int64)[
+                list(sample_stream(truth, cfg.horizon, cfg.seed).outcomes)], axis=0)
+            values = _blocks(shared.base_log, shared.log_weights, counts[130:131])
+            row = next(values)[0]  # the third block's third step
+            best, out = row.max(), row[shared.inside:].max()
+            gap = (best - out) / max(1.0, best, -out)
+            assert 1e-4 < gap < 0.1
+            for tolerance in (gap, np.nextafter(gap, 0), np.nextafter(gap, 1)):
+                blocks = mock.Mock(wraps=convergence._blocks)
+                with mock.patch.object(plausibility, "TIE_TOLERANCE", float(tolerance)):
+                    expected = unscreened_trial(cfg)
+                    with mock.patch.object(convergence, "_blocks", blocks):
+                        result = run_trial(cfg, shared)
+                assert (result.settled, result.settle_time, result.final_argmax) \
+                    == expected[:3]
+                assert result.belief_trace == (expected[3] if record_trace else None)
+                recomputed = [call.args[2] for call in blocks.call_args_list
+                              if call.args[0] is not shared.base_log]
+                assert any(130 in c[:, 0] + c[:, 1] - 1 for c in recomputed)
+
     def test_keeps_a_world_tied_within_the_tolerance(self, coin):
         # Under an all-heads stream the two copies of the vertex (1, 0) never
         # lose value, so the second one stays 1e-10 below the leader for the
@@ -368,6 +429,60 @@ class TestScreen:
         result = run_trial(cfg)
         assert result.belief_trace == [frozenset({0, 1})] * cfg.horizon
         assert (result.settled, result.settle_time) == (True, 1)
+
+
+@st.composite
+def kernel_cases(draw):
+    outcomes = draw(st.integers(2, 4))
+    alphabet = make_alphabet([f"o{i}" for i in range(outcomes)])
+    worlds = simplex_grid(alphabet, draw(st.integers(1, {2: 25, 3: 25, 4: 12}[outcomes])))
+    # Plausibilities up to 1e300: bases up to 690 in size, and zeros.
+    values = draw(st.lists(st.sampled_from([0.0, 1e-300, 0.3, 1.0, 7.0, 1e300]),
+                           min_size=len(worlds), max_size=len(worlds)))
+    stream = draw(st.lists(st.integers(0, outcomes - 1), min_size=1, max_size=300))
+    counts = np.eye(outcomes, dtype=np.int64)[stream].cumsum(axis=0)
+    counts *= draw(st.sampled_from([1, 1000, 10**6]))
+    return TrialConfig(tuple(worlds), tabulated(values), worlds[0], 1, 0, 0.5), counts
+
+
+class TestMatmulKernel:
+    """The matmul of `run_trial`'s blocks against the reference kernel."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_cases())
+    def test_values_within_the_bound(self, case):
+        # Same -inf pattern as the reference kernel, and every finite value
+        # within 2 gamma_{k+1} (2B + |V'|) / (1 - gamma_{k+1}) of it: half
+        # the E of `run_trial`'s certificate.
+        cfg, counts = case
+        shared = _share(cfg)
+        kept = np.arange(len(shared.order))
+        reference = np.concatenate(list(_blocks(shared.base_log, shared.log_weights, counts)))
+        values = np.concatenate([v for v, _, _ in _certified_blocks(
+            shared, kept, 0, counts, reference[-1], False)])
+        assert np.array_equal(values == -math.inf, reference == -math.inf)
+        finite = reference > -math.inf
+        terms = counts.shape[1] + 1
+        gamma = terms * 2.0**-53 / (1 - terms * 2.0**-53)
+        bound = 2 * gamma * (shared.base_bound + np.abs(values[finite])) / (1 - gamma)
+        assert np.all(np.abs(values[finite] - reference[finite]) <= bound)
+
+    def test_worlds_die_where_their_zero_weight_outcome_is_first_seen(self, urn):
+        # Every world is kept, and G is first seen at the third step: the
+        # worlds with w(G) = 0 are finite before it and -inf from it, in
+        # both kernels.
+        grid = tuple(simplex_grid(urn, 6))
+        cfg = TrialConfig(grid, ENTROPY, grid[1], 1, 0, 0.5)
+        shared = _share(cfg)
+        counts = np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1], [2, 1, 1]])
+        reference = np.concatenate(list(_blocks(shared.base_log, shared.log_weights, counts)))
+        (values, _, _), = _certified_blocks(
+            shared, np.arange(len(grid)), shared.inside, counts, reference[-1], True)
+        dies = (shared.log_weights[:, 2] == -math.inf) & (shared.base_log > -math.inf)
+        assert dies.any()
+        assert np.all(values[1, dies] > -math.inf)
+        assert np.all(values[2:, dies] == -math.inf)
+        assert np.array_equal(values == -math.inf, reference == -math.inf)
 
 
 def centre_of_mass_argmax(worlds, resolution, counts):
