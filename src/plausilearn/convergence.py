@@ -245,7 +245,7 @@ def _certified_blocks(shared: _Shared, kept: np.ndarray, inside: int,
     if dying.size:
         zeros = (shared.log_weights[kept[dying]] == -math.inf).T.astype(float)
     terms = live.shape[1] + 1  # k products and the base
-    gamma = 4 * terms * 2.0**-53 / (1 - terms * 2.0**-53)  # twice E's gamma
+    gamma = 4 * terms * 2.0**-53 / (1 - terms * 2.0**-53)  # E = gamma (2B + |V'|)
     rows = max(1, _BLOCK_CELLS // len(kept))
     for start in range(0, len(counts), rows):
         block = counts[start:start + rows].astype(float)

@@ -398,8 +398,8 @@ class TestScreen:
             assert _screen_steps(len(grid)) == 64
             counts = np.cumsum(np.eye(2, dtype=np.int64)[
                 list(sample_stream(truth, cfg.horizon, cfg.seed).outcomes)], axis=0)
-            values = _blocks(shared.base_log, shared.log_weights, counts[130:131])
-            row = next(values)[0]  # the third block's third step
+            # The third block's third step.
+            row = next(_blocks(shared.base_log, shared.log_weights, counts[130:131]))[0]
             best, out = row.max(), row[shared.inside:].max()
             gap = (best - out) / max(1.0, best, -out)
             assert 1e-4 < gap < 0.1
