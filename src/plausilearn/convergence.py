@@ -23,12 +23,15 @@ The bound is derived in `run_trial`.
 
 A Bayesian learner over the same finite world set (uniform prior, ball
 posterior above `BASELINE_THRESHOLD`) is available as a paired baseline.  It
-screens its horizon in the same blocks: inside a block only the worlds within
-`_BASELINE_SCREEN` nats of the block-end leader before the block get a value
-at every step, the mass of the others is bounded, and a step whose ball mass
-lies further from the threshold than that bound plus the float error of both
-computations gets the flag that computing every world would give; any other
-step is recomputed from every world.  The argument is in
+screens its horizon in the same blocks, with the same two kernels: the
+reference kernel computes every world at each block's last step, and inside
+a block the matmul computes only the worlds within `_BASELINE_SCREEN` nats of
+the block-end leader before the block, whose ball mass one exp pass gives.
+The mass of the dropped worlds, the matmul's error against the reference
+kernel and the float error of both mass computations are bounded, and a step
+whose mass lies further from the threshold than these bounds gets the flag
+that the unscreened computation, every world by the reference kernel, would
+give; any other step is recomputed that way.  The argument is in
 `bayesian_baseline_trial`.
 """
 
@@ -159,8 +162,9 @@ class _Shared:
 
 def _share(cfg: TrialConfig) -> _Shared:
     model = init_state(cfg.worlds, cfg.plausibility)
-    # One distance table gives both the isolation radius and the ball.
-    distances = _distances(cfg.truth, cfg.worlds)
+    # One distance table gives both the isolation radius and the ball, from
+    # the model's weight table.
+    distances = _distances(cfg.truth, cfg.worlds, (model.numerators, model.denominator))
     eps = cfg._epsilon(distances)
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -229,23 +233,27 @@ def _doubtful(best, values, bound: float, gamma: float) -> np.ndarray:
         return np.abs(gap) <= 3 * error
 
 
-def _certified_blocks(shared: _Shared, kept: np.ndarray, inside: int,
-                      counts: np.ndarray, last: np.ndarray, trace: bool):
-    """The values of the `kept` worlds after each row of `counts` (`last`:
-    the reference kernel's after its last row), in blocks as `_blocks`,
-    each with its rows' maxima inside and outside the ball.  One matmul
-    computes a block; each row whose step decision, or with `trace` any of
-    whose tie tests, it cannot certify is recomputed by `_blocks` (see
-    `run_trial`)."""
-    base, live = shared.base_log[kept], shared.live_weights[kept]
+def _error_factor(outcomes: int) -> float:
+    """gamma = 4 gamma_{k+1} for k `outcomes`: a matmul value V' lies within
+    0.51 E of the reference kernel's, E = gamma (2B + |V'|) (see `run_trial`)."""
+    terms = outcomes + 1  # k products and the base
+    return 4 * terms * 2.0**-53 / (1 - terms * 2.0**-53)
+
+
+def _matmul_blocks(base: np.ndarray, log_weights: np.ndarray, live: np.ndarray,
+                   kept: np.ndarray, counts: np.ndarray, last: np.ndarray):
+    """The matmul's values V' = base + counts @ live.T of the `kept` worlds
+    (`live`: `_Shared.live_weights`) after each row of `counts`, in blocks
+    of rows as `_blocks`; `last` holds the reference kernel's values of the
+    kept worlds after the last row of `counts`.  The -inf pattern is the
+    reference kernel's (see `run_trial`)."""
+    base, live = base[kept], live[kept]
     # A world with a finite base is at -inf after the last row only through
     # a zero weight on an outcome seen by then, and is at -inf exactly from
     # the row whose counts of its zero-weight outcomes turn positive.
     dying = np.flatnonzero(last == -math.inf)
     if dying.size:
-        zeros = (shared.log_weights[kept[dying]] == -math.inf).T.astype(float)
-    terms = live.shape[1] + 1  # k products and the base
-    gamma = 4 * terms * 2.0**-53 / (1 - terms * 2.0**-53)  # E = gamma (2B + |V'|)
+        zeros = (log_weights[kept[dying]] == -math.inf).T.astype(float)
     rows = max(1, _BLOCK_CELLS // len(kept))
     for start in range(0, len(counts), rows):
         block = counts[start:start + rows].astype(float)
@@ -253,6 +261,21 @@ def _certified_blocks(shared: _Shared, kept: np.ndarray, inside: int,
         values += base
         if dying.size:
             values[:, dying] = np.where(block @ zeros > 0, -math.inf, values[:, dying])
+        yield values
+
+
+def _certified_blocks(shared: _Shared, kept: np.ndarray, inside: int,
+                      counts: np.ndarray, last: np.ndarray, trace: bool):
+    """The values of the `kept` worlds after each row of `counts` (`last`:
+    the reference kernel's after its last row), in blocks as `_blocks`,
+    each with its rows' maxima inside and outside the ball.  The matmul
+    computes a block; each row whose step decision, or with `trace` any of
+    whose tie tests, it cannot certify is recomputed by `_blocks` (see
+    `run_trial`)."""
+    gamma = _error_factor(shared.log_weights.shape[1])
+    start = 0
+    for values in _matmul_blocks(shared.base_log, shared.log_weights, shared.live_weights,
+                                 kept, counts, last):
         ins, outs = _maxima(values, inside)
         best = np.maximum(ins, outs)
         doubt = _doubtful(best, outs, shared.base_bound, gamma)
@@ -260,9 +283,10 @@ def _certified_blocks(shared: _Shared, kept: np.ndarray, inside: int,
             doubt |= _doubtful(best[:, None], values, shared.base_bound, gamma).any(axis=1)
         redo = np.flatnonzero(doubt)
         if redo.size:
-            values[redo] = np.concatenate(list(
-                _blocks(base, shared.log_weights[kept], counts[start + redo])))
+            values[redo] = np.concatenate(list(_blocks(
+                shared.base_log[kept], shared.log_weights[kept], counts[start + redo])))
             ins, outs = _maxima(values, inside)
+        start += len(values)
         yield values, ins, outs
 
 
@@ -324,7 +348,8 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
     lw_j <= 0, S - |base| = |X - base|, so S <= 2|base| + |X| <=
     2B + |V'| + gamma_{k+1} S, B the largest finite |base| of any world, and
     |V - V'| <= 2 gamma_{k+1} (2B + |V'|) / (1 - gamma_{k+1}).  E =
-    4 gamma_{k+1} (2B + |V'|) is at least that, doubled.  A tie test of a
+    4 gamma_{k+1} (2B + |V'|) is that, doubled, but for the factor
+    1 - gamma_{k+1}: the bound is below 0.51 E.  A tie test of a
     value v against a row maximum `best` decides by the sign of the gap
     best - v - tol * max(1, best, -v), which moves by at most (1 + tol)
     times the errors of v and of `best`; the maximum's error is that of the
@@ -436,6 +461,23 @@ def _mass_error(entries: int, top: np.ndarray) -> np.ndarray:
     return 2 * np.expm1(2.0**-50 * (entries * entries + 8 * entries + np.abs(top))) + 2.0**-48
 
 
+def _one_pass_mass(values: np.ndarray, top: np.ndarray, inside: int) -> np.ndarray:
+    """Each row's posterior mass on its first `inside` columns from one exp
+    pass, sum(e[:inside]) / sum(e) with e = exp(row - top), `top` the row's
+    maximum; NaN in a row of -inf.  Overwrites `values` with e."""
+    with np.errstate(invalid="ignore"):
+        values -= top[:, None]
+        np.exp(values, out=values)
+        return values[:, :inside].sum(axis=1) / values.sum(axis=1)
+
+
+def _one_pass_error(entries: int) -> float:
+    """Bound on the float error of `_one_pass_mass` against the exact ball
+    mass of the same values, for rows of `entries` values (derived in
+    `bayesian_baseline_trial`)."""
+    return 2.0**-49 * (entries + 3)
+
+
 def bayesian_baseline_trial(
     cfg: TrialConfig, shared: _Shared | None = None
 ) -> TrialResult:
@@ -446,27 +488,49 @@ def bayesian_baseline_trial(
     ball may then be empty and the learner simply never settles.
 
     Each step's flag is the unscreened computation's: every world's log
-    posterior (the kernel's value from the uniform prior), the ball mass
-    `_ball_mass` of that row, and a failure unless it exceeds the threshold
-    (a NaN mass, every world at -inf, fails).  The horizon is screened in
-    the blocks of `run_trial`, and every flag is still that one:
+    posterior (the reference kernel's value from the uniform prior), the
+    ball mass `_ball_mass` of that row, and a failure unless it exceeds the
+    threshold (a NaN mass, every world at -inf, fails).  The horizon is
+    screened in the blocks of `run_trial`, and every flag is still that one:
 
     1. Monotonicity.  As shown in `run_trial`, no world's value rises from
        one step to the next.  So if L is the largest value at a block's last
        step, the maximum M at each step of the block is at least L, and a
        world is at most its value v0 before the block.
-    2. Dropped mass.  Every world's value is computed at each block's end;
-       at the block's other steps, only the worlds with v0 >= fl(L - K),
-       K = `_BASELINE_SCREEN`, are.  All are kept when L is -inf.  Values
-       are at most 0, so with u = 2^-53, fl(L - K) <= L - K + u(|L| + K): a
-       dropped world's term e^v is below e^(M - K + u(|L| + K)) at each step.
-       A maximal world is kept, so with d worlds dropped, the sums over all
-       worlds exceed those over the kept ones by less than
-       delta = d e^(u(|L| + K) - K) times the kept total, and the exact ball
-       masses p (all worlds) and p' (kept worlds) of the same float values
-       differ by at most delta.  The kernel computes each world's value
-       alone, so the kept worlds' values are the unscreened ones.
-    3. Float error (Higham, Accuracy and Stability of Numerical Algorithms,
+    2. Dropped mass.  The reference kernel computes every world's value at
+       each block's end; at the block's other steps, only the worlds with
+       v0 >= fl(L - K), K = `_BASELINE_SCREEN`, are computed.  All are kept
+       when L is -inf.  Values are at most 0, so with u = 2^-53,
+       fl(L - K) <= L - K + u(|L| + K): a dropped world's term e^v is below
+       e^(M - K + u(|L| + K)) at each step.  A maximal world is kept, so
+       with d worlds dropped, the sums over all worlds exceed those over the
+       kept ones by less than delta = d e^(u(|L| + K) - K) times the kept
+       total, and the exact ball masses of the reference kernel's values of
+       all worlds and of the kept worlds differ by at most delta.
+    3. Matmul values.  Inside a block the kept worlds' values V' come from
+       the matmul of `run_trial` (`_matmul_blocks`), not from the reference
+       kernel, so they are not its values V bit for bit.  As shown there,
+       they have the same -inf pattern, and a finite V' lies within
+       c (2B + |V'|) of V, c = 2 gamma_{k+1} / (1 - gamma_{k+1}) for k
+       outcomes, here with B = log n, the |prior| of n worlds.  Let top' be
+       the row's largest V', h the number of kept worlds, and
+       E = gamma (2B + |top'| + h), the certificate's E of `run_trial`
+       (`_error_factor`) taken at |top'| + h; c (2B + |top'| + h) <= 0.51 E.
+       Where expm1(2E) >= 1/2 the margin of step 5 is above 1, and no mass
+       clears it.  Otherwise, values being at most 0, a value d >= 0 below
+       top' has |V'| = |top'| + d and an error below e0 + c d,
+       e0 = c (2B + |top'|) < 0.11.  Measured from top', its term e^-d moves
+       by at most e^-d expm1(e0 + c d) <= e^-d expm1(e0) +
+       e^e0 c d e^(-d (1 - c)), and d e^(-d (1 - c)) <= 1 / (e (1 - c)).
+       The kept total of the terms is at least 1, the term at top', so the
+       ball's sum and the total each move by at most eta times the total,
+       eta = expm1(e0) + h c <= expm1(0.51 E), and the exact ball masses of
+       V and V' of the kept worlds differ by at most 2 eta / (1 - eta).  By
+       the convexity of expm1, eta <= 0.255 expm1(2E) < 0.13, so that is at
+       most 0.6 expm1(2E).  The same errors put the reference kernel's maximum
+       `top` of the kept worlds, which is the unscreened row's, a maximal
+       world being kept, within e0 (1 + c) / (1 - c) < E of top'.
+    4. Float error (Higham, Accuracy and Stability of Numerical Algorithms,
        2002, ch. 4; Blanchard, Higham & Higham, IMA J. Numer. Anal., 2021).
        Assume numpy's exp, log and log1p within 4 ulp (relative error 8u),
        an exp in or below the subnormal range off by at most 2^-1074, and any
@@ -486,19 +550,31 @@ def bayesian_baseline_trial(
        A = 1.01u(2.2 m^2 + 57 m + 2|top|) and B = 2.01u.  Then
        |e^D' - e^D| <= expm1(A) + B / (1 - B), the final exp adds 8u, and
        `_mass_error(m, top)`, 2 expm1(2^-50 (m^2 + 8m + |top|)) + 2^-48,
-       bounds the error by at least a factor 2.  The bound grows with |top| because both
-       log-sum-exps add `top` before they are subtracted.  A ball whose
-       values are all -inf has mass exactly 0 either way.
-    4. Decision.  Both computations see the same `top`, a maximal world
-       being kept.  The margin is _mass_error(n, top) for the unscreened
-       row of n worlds, plus _mass_error(k, top) for the k kept worlds,
-       plus 2 delta; each term is at least twice its bound, which absorbs
-       the rounding of the margin and of the distance to the threshold.
-       Where the screened mass lies further than the margin from the
-       threshold, the unscreened mass lies on the same side.  A NaN
-       screened mass means every kept world, a maximal one among them, is
-       at -inf, so the unscreened mass is NaN too: both fail.
-    5. Fallback.  Each other step is recomputed from every world's values
+       bounds the error of `_ball_mass` by at least a factor 2.  The bound
+       grows with |top| because both log-sum-exps add `top` before they are
+       subtracted.  A ball whose values are all -inf has mass exactly 0
+       either way.  The kept rows' mass comes from one exp pass instead
+       (`_one_pass_mass`): the h terms exp(x - top'), each within
+       1.01u + 8u e^(x - top') + 2^-1074 of its exact value, the ball's sum
+       and the total, and one division.  The exact total is at least 1, so
+       (for h below 2^40) each computed sum lies within a + b S of its exact
+       value S, with a = 1.02 h u and b = 8u + 1.01 h u, the quotient within
+       (2a + 2b) / (1 - a - b) of the exact mass, and with the division's
+       rounding the error is below u (4.1 h + 17.1); `_one_pass_error(h)`,
+       2^-49 (h + 3), bounds it by at least a factor 2.  Nothing adds top'
+       back after the exps, so this bound does not grow with |top'|.
+    5. Decision.  The margin is _mass_error(n, |top'| + E) for the
+       unscreened row of n worlds, whose maximum is within E of top', plus
+       _one_pass_error(h) for the kept row, plus 2 expm1(2E) for the matmul's
+       values, plus 2 delta for the dropped worlds; each term is at least
+       twice its bound, which absorbs the rounding of the margin and of the
+       distance to the threshold.  Where the screened mass lies further than
+       the margin from the threshold, the unscreened mass lies on the same
+       side.  A NaN screened mass means every kept world is at -inf, under
+       the matmul and so under the reference kernel, a maximal world among
+       them, so the unscreened mass is NaN too: both fail, and the margin is
+       infinite, so no such row goes to the fallback.
+    6. Fallback.  Each other step is recomputed from every world's values
        by the unscreened computation (`_full_ball_mass`).  The final argmax
        comes from the last step's row of every world, normalised as before.
     """
@@ -510,7 +586,8 @@ def bayesian_baseline_trial(
     counts = _cumulative_counts(sample_stream(cfg.truth, cfg.horizon, cfg.seed))
     worlds = len(shared.order)
     prior = np.full(worlds, -math.log(worlds))
-    fails = []
+    gamma, bound = _error_factor(counts.shape[1]), 2 * math.log(worlds)  # gamma, 2B
+    masses, tops, blocks = [], [], []  # blocks: (steps, kept worlds, slack)
     before, start = prior, 0
     for end, row in _block_ends(prior, shared.log_weights, counts):
         leader = row.max()
@@ -520,18 +597,24 @@ def bayesian_baseline_trial(
                  if dropped else 0.0)
         # `kept` is sorted, so the kept worlds of the ball come first.
         inside = np.searchsorted(kept, shared.inside)
-        for values in _blocks(prior[kept], shared.log_weights[kept], counts[start:end + 1]):
-            mass = _ball_mass(values, inside)
-            top = values.max(axis=1)
-            margin = _mass_error(worlds, top) + _mass_error(kept.size, top) + slack
-            close = np.flatnonzero(np.abs(mass - threshold) <= margin)
-            if close.size:
-                mass[close] = _full_ball_mass(
-                    prior, shared.log_weights, counts[start + close], shared.inside)
-            # NaN (every world at plausibility 0) fails, as a mass of 0 does.
-            fails.append(~(mass > threshold))
-            start += len(values)
-        before = row
+        for values in _matmul_blocks(prior, shared.log_weights, shared.live_weights,
+                                     kept, counts[start:end + 1], row[kept]):
+            tops.append(values.max(axis=1))
+            masses.append(_one_pass_mass(values, tops[-1], inside))
+        blocks.append((end + 1 - start, kept.size, slack))
+        before, start = row, end + 1
+    # Each step's margin (step 5), from its block's kept worlds and slack.
+    mass, top = np.concatenate(masses), np.abs(np.concatenate(tops))
+    steps, sizes, slacks = zip(*blocks)
+    sizes, slack = np.repeat(sizes, steps), np.repeat(slacks, steps)
+    error = gamma * (bound + top + sizes)
+    margin = (_mass_error(worlds, top + error) + _one_pass_error(sizes)
+              + 2 * np.expm1(2 * error) + slack)
+    close = np.flatnonzero(np.abs(mass - threshold) <= margin)
+    if close.size:
+        mass[close] = _full_ball_mass(prior, shared.log_weights, counts[close], shared.inside)
+    # NaN (every world at plausibility 0) fails, as a mass of 0 does.
+    fails = [~(mass > threshold)]
     norm = _logsumexp_rows(row[None])[0]
     last = row - norm if norm > -math.inf else row
     return _settled(fails, cfg.horizon, shared.worlds_of(_tie_mask(last)))

@@ -180,15 +180,25 @@ def _weights(worlds) -> _Weights:
     return _Weights(exact[index], d, *(np.array(t)[index] for t in (floats, logs, terms)))
 
 
-def _distances(center: MassFunction, worlds) -> np.ndarray:
+def _distances(center: MassFunction, worlds, exact=None) -> np.ndarray:
     """Euclidean distance from `center` to each of `worlds`: over their
     common denominator D, each squared difference is float((c - v) / D) ** 2,
     exact until rounded once, from a table over the column's distinct values;
-    the coordinates are summed left to right and the square root taken last."""
-    weights = _weights([center, *worlds])
+    the coordinates are summed left to right and the square root taken last.
+
+    `exact`, the worlds' (numerators, denominator) of `_weights` when the
+    caller has them, is not built again.  D is the lcm of the center's and
+    the worlds' denominators either way, so c - v is the same integer."""
+    # With the first world, so that a center over another alphabet is refused.
+    own = _weights([center, *worlds[:1]])
+    if not len(worlds):
+        return np.zeros(0)
+    numerators, denominator = exact or _weights(worlds)[:2]
+    d = math.lcm(own.denominator, denominator)
+    up, up_own = d // denominator, d // own.denominator
     total = np.zeros(len(worlds))
-    for c, *column in weights.numerators.T.tolist():
-        table = {v: ((c - v) / weights.denominator) ** 2 for v in set(column)}
+    for c, column in zip(own.numerators[0].tolist(), numerators.T.tolist()):
+        table = {v: ((c * up_own - v * up) / d) ** 2 for v in set(column)}
         total += [table[v] for v in column]
     return np.sqrt(total)
 

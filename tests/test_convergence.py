@@ -37,8 +37,12 @@ from plausilearn.convergence import (
     _ball_mass,
     _blocks,
     _certified_blocks,
+    _error_factor,
     _logsumexp_rows,
     _mass_error,
+    _matmul_blocks,
+    _one_pass_error,
+    _one_pass_mass,
     _screen_steps,
     _share,
 )
@@ -120,21 +124,30 @@ class TestResolvedEpsilon:
 
     def test_share_builds_one_distance_table(self, urn):
         # The isolation radius and the ball come from one table of
-        # distances, so leaving epsilon to be resolved costs no extra pass.
+        # distances, so leaving epsilon to be resolved costs no extra pass,
+        # and the distances reuse the model's weight table: the world set's
+        # table is built once.  A truth over 7ths is not on the grid of
+        # 12ths, so its distances are taken over the lcm of both
+        # denominators.
         grid = tuple(simplex_grid(urn, 12))
-        truth = mass_function(urn, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
-        calls = []
-        for eps in (None, 0.15):
-            cfg = TrialConfig(grid, ENTROPY, truth, 10, 0, eps)
-            wrapped = mock.Mock(wraps=simplex._weights)
-            with mock.patch.object(simplex, "_weights", wrapped), \
-                    mock.patch.object(plausibility, "_weights", wrapped):
-                shared = _share(cfg)
-            calls.append(wrapped.call_count)
-            ball = epsilon_ball(truth, cfg.resolved_epsilon(), list(grid)).members
-            assert shared.inside == len(ball)
-            assert set(shared.order[:shared.inside].tolist()) == ball
-        assert calls[0] == calls[1]
+        for weights in ((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+                        (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))):
+            truth = mass_function(urn, weights)
+            calls = []
+            for eps in (None, 0.15):
+                cfg = TrialConfig(grid, ENTROPY, truth, 10, 0, eps)
+                wrapped = mock.Mock(wraps=simplex._weights)
+                with mock.patch.object(simplex, "_weights", wrapped), \
+                        mock.patch.object(plausibility, "_weights", wrapped):
+                    shared = _share(cfg)
+                calls.append(wrapped.call_count)
+                sizes = [len(call.args[0]) for call in wrapped.call_args_list]
+                assert sizes.count(len(grid)) == 1
+                assert max(sizes) == len(grid)
+                ball = epsilon_ball(truth, cfg.resolved_epsilon(), list(grid)).members
+                assert shared.inside == len(ball)
+                assert set(shared.order[:shared.inside].tolist()) == ball
+            assert calls[0] == calls[1]
 
 
 class TestRunTrial:
@@ -745,6 +758,22 @@ def baseline_cases(draw):
     return cfg, cells, screen
 
 
+@st.composite
+def baseline_kernel_cases(draw):
+    """The baseline's prior and a grid's log weights, cumulative counts (up
+    to 3e8), a few of their rows and a ball of the first worlds."""
+    outcomes = draw(st.integers(2, 4))
+    alphabet = make_alphabet([f"o{i}" for i in range(outcomes)])
+    worlds = simplex_grid(alphabet, draw(st.integers(1, {2: 25, 3: 25, 4: 12}[outcomes])))
+    stream = draw(st.lists(st.integers(0, outcomes - 1), min_size=1, max_size=300))
+    counts = np.eye(outcomes, dtype=np.int64)[stream].cumsum(axis=0)
+    counts *= draw(st.sampled_from([1, 1000, 10**6]))
+    rows = draw(st.lists(st.integers(0, len(counts) - 1), min_size=1, max_size=3))
+    prior = np.full(len(worlds), -math.log(len(worlds)))
+    return (prior, init_state(worlds, ENTROPY).log_weights, counts, rows,
+            draw(st.integers(0, len(worlds))))
+
+
 def exact_ball_mass(row, inside):
     """The ball mass of the float values in `row`, to 60 digits."""
     with localcontext() as ctx:
@@ -794,6 +823,54 @@ class TestBaselineScreen:
                 assert np.array_equal(flags, expected_flags)
                 assert recomputed >= 1
 
+    @pytest.mark.parametrize("term", ["unscreened", "one_pass", "matmul"])
+    def test_each_margin_term_sends_its_step_to_the_fallback(self, coin, term):
+        # A threshold at the screened mass of a step inside a block, offset
+        # by the whole margin less half of one of its terms, is closer than
+        # the margin but further than the margin without that term: the
+        # full row decides, as it would not if that term were left out.
+        grid = tuple(simplex_grid(coin, 25))
+        vertex = mass_function(coin, [1, 0])
+        cfg = TrialConfig(grid, ENTROPY, vertex, 200, 3, 0.05)
+        shared = _share(cfg)
+        n, lw = len(grid), shared.log_weights
+        prior = np.full(n, -math.log(n))
+        counts = np.cumsum(np.eye(2, dtype=np.int64)[
+            list(sample_stream(vertex, cfg.horizon, cfg.seed).outcomes)], axis=0)
+        with mock.patch.object(convergence, "_BLOCK_CELLS", 64):
+            assert _screen_steps(n) == 64
+            # The third block, steps 128 to 191, and its third step.
+            before, end = np.concatenate(list(_blocks(prior, lw, counts[[127, 191]])))
+            kept = np.flatnonzero(before >= end.max() - convergence._BASELINE_SCREEN)
+            values = next(_matmul_blocks(prior, lw, shared.live_weights, kept,
+                                         counts[128:192], end[kept]))
+        top = values.max(axis=1)
+        mass = _one_pass_mass(values, top, np.searchsorted(kept, shared.inside))[2]
+        error = _error_factor(2) * (2 * math.log(n) + abs(top[2]) + kept.size)
+        dropped = n - kept.size
+        terms = {
+            "unscreened": _mass_error(n, abs(top[2]) + error),
+            "one_pass": _one_pass_error(kept.size),
+            "matmul": 2 * math.expm1(2 * error),
+            "dropped": 2 * dropped * math.exp(
+                2.0**-53 * (abs(end.max()) + convergence._BASELINE_SCREEN)
+                - convergence._BASELINE_SCREEN),
+        }
+        assert terms[term] > 1e-14
+        threshold = float(mass - (sum(terms.values()) - terms[term] / 2))
+        assert 0.9 < threshold < mass
+        with mock.patch.object(convergence, "_BLOCK_CELLS", 64), \
+                mock.patch.object(convergence, "BASELINE_THRESHOLD", threshold):
+            expected, expected_flags, _ = unscreened_baseline_trial(cfg)
+            fallback = mock.Mock(wraps=convergence._full_ball_mass)
+            with mock.patch.object(convergence, "_full_ball_mass", fallback):
+                got, flags, _ = screened_baseline_trial(cfg)
+        assert got == expected
+        assert np.array_equal(flags, expected_flags)
+        recomputed = np.concatenate([call.args[2].sum(axis=1) - 1
+                                     for call in fallback.call_args_list])
+        assert 130 in recomputed
+
     @settings(max_examples=300, deadline=None)
     @given(
         values=st.lists(st.one_of(st.floats(0, 50), st.just(math.inf)),
@@ -812,21 +889,69 @@ class TestBaselineScreen:
         exact = exact_ball_mass(row, inside)
         assert abs(got - exact) <= _mass_error(len(row), top)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.floats(0, 50), st.floats(700, 760), st.just(math.inf)),
+                        min_size=1, max_size=30),
+        top=st.sampled_from([0.0, -7.0, -1e3, -1e6, -1e9, -1e12]),
+        cut=st.integers(0, 30),
+    )
+    def test_one_pass_error_bounds_the_float_error(self, values, top, cut):
+        # `_one_pass_mass` against the exact ball mass of the same floats,
+        # for rows whose values lie at and below `top`, some of them where
+        # the exp underflows: the bound does not grow with |top|.
+        row = np.array([top - v for v in values])
+        row[0] = top
+        inside = min(cut, len(row))
+        got = _one_pass_mass(row[None].copy(), np.array([top]), inside)[0]
+        exact = exact_ball_mass(row, inside)
+        assert abs(got - exact) <= _one_pass_error(len(row)) / 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=baseline_kernel_cases())
+    def test_matmul_moves_the_mass_within_the_input_error(self, case):
+        # The exact ball masses of the matmul's values and of the reference
+        # kernel's differ by at most 0.6 expm1(2E), a third of the margin's
+        # input-error term 2 expm1(2E), and their maxima by at most E.
+        prior, log_weights, counts, rows, inside = case
+        reference = np.concatenate(list(_blocks(prior, log_weights, counts)))
+        live = np.where(log_weights > -math.inf, log_weights, 0.0)
+        values = np.concatenate(list(_matmul_blocks(
+            prior, log_weights, live, np.arange(len(prior)), counts, reference[-1])))
+        assert np.array_equal(values == -math.inf, reference == -math.inf)
+        for r in rows:
+            top = values[r].max()
+            if top == -math.inf:
+                continue
+            error = _error_factor(counts.shape[1]) * (
+                -2 * prior[0] + abs(top) + len(prior))
+            assert abs(reference[r].max() - top) <= error
+            moved = abs(exact_ball_mass(values[r], inside)
+                        - exact_ball_mass(reference[r], inside))
+            assert moved <= 0.6 * math.expm1(2 * error)
+
     def test_screen_computes_few_cells(self):
         # The benchmark's grid: 50 seeded trials compute at most 35% of the
-        # horizon's cells, and the decisions never need the fallback.
+        # horizon's cells, by the reference kernel at block ends and by the
+        # matmul for the kept worlds inside blocks, and the decisions never
+        # need the fallback.
         urn = make_alphabet(["R", "B", "G"])
         grid = tuple(simplex_grid(urn, 30))
         truth = mass_function(urn, [Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)])
         cfg = TrialConfig(grid, ENTROPY, truth, 2000, 0, 0.15)
         shared = _share(cfg)
         kernel = mock.Mock(wraps=convergence._log_plausibilities)
+        matmul = mock.Mock(wraps=convergence._matmul_blocks)
         fallback = mock.Mock(wraps=convergence._full_ball_mass)
         with mock.patch.object(convergence, "_log_plausibilities", kernel), \
+                mock.patch.object(convergence, "_matmul_blocks", matmul), \
                 mock.patch.object(convergence, "_full_ball_mass", fallback):
             for seed in trial_seeds(1, 50):
                 bayesian_baseline_trial(replace(cfg, seed=seed), shared)
-        cells = sum(len(call.args[0]) * len(call.args[2]) for call in kernel.call_args_list)
+        # (base, log_weights, counts) and (base, log_weights, live, kept, counts, last)
+        cells = (sum(len(call.args[0]) * len(call.args[2]) for call in kernel.call_args_list)
+                 + sum(len(call.args[3]) * len(call.args[4]) for call in matmul.call_args_list))
+        assert matmul.called
         assert cells <= 0.35 * 50 * cfg.horizon * len(grid)
         assert not fallback.called
 

@@ -116,7 +116,11 @@ class TestAgainstTheReference:
         assert model.denominator == denominator
         assert model.numerators.dtype == (
             np.int64 if denominator <= _INT64_MAX else object)
-        assert bits(_distances(center, worlds)) == bits(reference_distances(center, worlds))
+        distances = bits(reference_distances(center, worlds))
+        assert bits(_distances(center, worlds)) == distances
+        # From the model's own table, as `convergence._share` takes them.
+        exact = (model.numerators, model.denominator)
+        assert bits(_distances(center, worlds, exact)) == distances
 
     @settings(max_examples=200, deadline=None)
     @given(case=world_sets())
