@@ -22,16 +22,18 @@ bound, and a row it cannot certify is recomputed by the reference kernel.
 The bound is derived in `run_trial`.
 
 A Bayesian learner over the same finite world set (uniform prior, ball
-posterior above `BASELINE_THRESHOLD`) is available as a paired baseline.  It
-screens its horizon in the same blocks, with the same two kernels: the
-reference kernel computes every world at each block's last step, and inside
-a block the matmul computes only the worlds within `_BASELINE_SCREEN` nats of
-the block-end leader before the block, whose ball mass one exp pass gives.
+posterior above `BASELINE_THRESHOLD`) is available as a paired baseline.  A
+step's ball mass is one exp pass over every world's reference-kernel values,
+from the row's maximum.  The baseline screens its horizon in the same blocks,
+by the same loop (`_screen`) and with the same two kernels: the reference
+kernel computes every world at each block's last step, and inside a block the
+matmul computes only the worlds within `_BASELINE_SCREEN` nats of the
+block-end leader before the block, whose ball mass the same exp pass gives.
 The mass of the dropped worlds, the matmul's error against the reference
-kernel and the float error of both mass computations are bounded, and a step
-whose mass lies further from the threshold than these bounds gets the flag
-that the unscreened computation, every world by the reference kernel, would
-give; any other step is recomputed that way.  The argument is in
+kernel and the float error of the exp pass are bounded, and a step whose mass
+lies further from the threshold than these bounds gets the flag that the
+unscreened computation, every world by the reference kernel, would give; any
+other step is recomputed that way.  The argument is in
 `bayesian_baseline_trial`.
 """
 
@@ -206,13 +208,23 @@ def _screen_steps(worlds: int) -> int:
     return max(_SCREEN_STEPS, _BLOCK_CELLS // worlds)
 
 
-def _block_ends(base_log: np.ndarray, log_weights: np.ndarray, counts: np.ndarray):
-    """The last step of each block of the screen over the rows of `counts`,
-    with the kernel's values of every world there."""
-    steps = _screen_steps(len(base_log))
+def _screen(base: np.ndarray, shared: _Shared, counts: np.ndarray, keep):
+    """The screen over the rows of `counts`, from the values `base`: for
+    each block, the kernel's values of every world at its last step and
+    the largest of them (the leader), the worlds kept in it, how many of
+    them lie in the ball, and its rows of `counts`.  `keep(before, leader)`
+    is the mask of the worlds kept, from every world's values before the
+    block."""
+    steps = _screen_steps(len(base))
     ends = np.append(np.arange(steps - 1, len(counts) - 1, steps), len(counts) - 1)
-    rows = itertools.chain.from_iterable(_blocks(base_log, log_weights, counts[ends]))
-    return zip(ends.tolist(), rows)
+    rows = itertools.chain.from_iterable(_blocks(base, shared.log_weights, counts[ends]))
+    before, start = base, 0
+    for end, row in zip(ends.tolist(), rows):
+        leader = row.max()
+        kept = np.flatnonzero(keep(before, leader))
+        # `kept` is sorted, so the kept worlds of the ball come first.
+        yield row, leader, kept, np.searchsorted(kept, shared.inside), counts[start:end + 1]
+        before, start = row, end + 1
 
 
 def _maxima(values: np.ndarray, inside: int):
@@ -379,55 +391,20 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
     counts = _cumulative_counts(sample_stream(cfg.truth, cfg.horizon, cfg.seed))
     trace: list[frozenset[int]] | None = [] if cfg.record_trace else None
     best_in, best_out = [], []
-    before, start = shared.base_log, 0
-    for end, row in _block_ends(shared.base_log, shared.log_weights, counts):
-        kept = np.flatnonzero(
-            _ties(before, row.max(), 2 * plausibility.TIE_TOLERANCE))
-        # `kept` is sorted, so the kept worlds of the ball come first.
-        inside = np.searchsorted(kept, shared.inside)
+    for row, _, kept, inside, block in _screen(
+            shared.base_log, shared, counts,
+            lambda before, leader: _ties(before, leader, 2 * plausibility.TIE_TOLERANCE)):
         worlds = shared.order[kept]
         for values, ins, outs in _certified_blocks(
-                shared, kept, inside, counts[start:end + 1], row[kept], trace is not None):
+                shared, kept, inside, block, row[kept], trace is not None):
             best_in.append(ins)
             best_out.append(outs)
             if trace is not None:
                 trace.extend(frozenset(worlds[ties].tolist()) for ties in _tie_mask(values))
-        before, start = row, end + 1
     # A step fails when the best world outside the ball ties the best.
     best = np.column_stack([np.concatenate(best_in), np.concatenate(best_out)])
     return _settled([_tie_mask(best)[:, 1]], cfg.horizon,
                     shared.worlds_of(_tie_mask(row)), trace)
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """ln(sum(exp(row))) of each row of `a`, with the floats of scipy
-    1.17's `logsumexp(a, axis=1)`.
-
-    Shared with scipy, operation for operation: the row's maximum `top`,
-    the number t of entries equal to it, the sum r of exp(x - top) over the
-    other entries, r / t where r is not 0, and log1p(r / t) + log(t) + top.
-    scipy gets the top entries' terms as exp(-inf - top); here each entry
-    is exponentiated once and those terms are set to 0, the same value
-    wherever `top` is finite.  A row whose `top` is not finite (all -inf,
-    or holding inf or NaN) gives no finite result either way; for those
-    rows alone the plain ln(sum(exp(row))) stands, which is scipy's
-    fallback.  A row with no entries gives -inf."""
-    if a.shape[1] == 0:
-        return np.full(a.shape[0], -math.inf)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = a.max(axis=1, keepdims=True)
-        is_top = a == top
-        tops = is_top.sum(axis=1, dtype=a.dtype)
-        terms = a - top
-        np.exp(terms, out=terms)
-        np.copyto(terms, 0.0, where=is_top)
-        rest = terms.sum(axis=1)
-        rest = np.where(rest == 0, rest, rest / tops)
-        out = np.log1p(rest) + np.log(tops) + top[:, 0]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
-    return out
 
 
 #: Ball posterior mass above which the Bayesian baseline has settled.
@@ -438,27 +415,12 @@ BASELINE_THRESHOLD = 0.95
 _BASELINE_SCREEN = 40.0
 
 
-def _ball_mass(log_post: np.ndarray, inside: int) -> np.ndarray:
-    """Each row's posterior mass on its first `inside` columns:
-    exp(lse(ball) - lse(row)), NaN in a row of -inf."""
-    norm = _logsumexp_rows(log_post)
-    with np.errstate(invalid="ignore"):
-        return np.exp(_logsumexp_rows(log_post[:, :inside]) - norm)
-
-
 def _full_ball_mass(prior: np.ndarray, log_weights: np.ndarray, counts: np.ndarray,
                     inside: int) -> np.ndarray:
-    """`_ball_mass` of every world's values after each row of `counts`: the
-    unscreened computation, which the screen falls back on."""
-    return np.concatenate(
-        [_ball_mass(values, inside) for values in _blocks(prior, log_weights, counts)])
-
-
-def _mass_error(entries: int, top: np.ndarray) -> np.ndarray:
-    """Bound on the float error of `_ball_mass` against the exact ball mass
-    of the same values, for rows of `entries` values whose maximum is `top`
-    (derived in `bayesian_baseline_trial`)."""
-    return 2 * np.expm1(2.0**-50 * (entries * entries + 8 * entries + np.abs(top))) + 2.0**-48
+    """`_one_pass_mass` of every world's values after each row of `counts`:
+    the unscreened computation, which the screen falls back on."""
+    return np.concatenate([_one_pass_mass(values, values.max(axis=1), inside)
+                           for values in _blocks(prior, log_weights, counts)])
 
 
 def _one_pass_mass(values: np.ndarray, top: np.ndarray, inside: int) -> np.ndarray:
@@ -489,9 +451,10 @@ def bayesian_baseline_trial(
 
     Each step's flag is the unscreened computation's: every world's log
     posterior (the reference kernel's value from the uniform prior), the
-    ball mass `_ball_mass` of that row, and a failure unless it exceeds the
-    threshold (a NaN mass, every world at -inf, fails).  The horizon is
-    screened in the blocks of `run_trial`, and every flag is still that one:
+    ball mass of that row by one exp pass from its maximum (`_one_pass_mass`),
+    and a failure unless it exceeds the threshold (a NaN mass, every world at
+    -inf, fails).  The horizon is screened in the blocks of `run_trial`, and
+    every flag is still that one:
 
     1. Monotonicity.  As shown in `run_trial`, no world's value rises from
        one step to the next.  So if L is the largest value at a block's last
@@ -527,56 +490,41 @@ def bayesian_baseline_trial(
        eta = expm1(e0) + h c <= expm1(0.51 E), and the exact ball masses of
        V and V' of the kept worlds differ by at most 2 eta / (1 - eta).  By
        the convexity of expm1, eta <= 0.255 expm1(2E) < 0.13, so that is at
-       most 0.6 expm1(2E).  The same errors put the reference kernel's maximum
-       `top` of the kept worlds, which is the unscreened row's, a maximal
-       world being kept, within e0 (1 + c) / (1 - c) < E of top'.
+       most 0.6 expm1(2E).
     4. Float error (Higham, Accuracy and Stability of Numerical Algorithms,
        2002, ch. 4; Blanchard, Higham & Higham, IMA J. Numer. Anal., 2021).
-       Assume numpy's exp, log and log1p within 4 ulp (relative error 8u),
-       an exp in or below the subnormal range off by at most 2^-1074, and any
-       order of summation: m terms sum within gamma_m = mu / (1 - mu) times
-       the sum of their magnitudes.  For a row of m values with a finite
-       maximum `top`, `_logsumexp_rows` forms t (the count at `top`) and
-       r = sum of exp(x - top) over the others, r <= m.  fl(x - top) is
-       within u|x - top| of x - top, so each exp term is within
-       1.01u + 8u exp(x - top) + 2^-1074 of its exact value, using
-       e^-y (e^(By) - 1) <= B / (1 - B) for y >= 0, 0 <= B < 1.  With the
-       sum, r / t, log1p(r / t) and log(t) (log1p is 1-Lipschitz on
-       [0, inf)), s = log(t + r) comes out within u(1.1 m^2 + 27 m);
-       adding `top` rounds once more, by u(|top| + log m + ...).  The
-       ball's maximum lies at most |D| + log m below `top`, where D <= 0 is
-       the exact log ball mass, so the computed difference of the two
-       log-sum-exps, D', is within A + B|D| of D, with
-       A = 1.01u(2.2 m^2 + 57 m + 2|top|) and B = 2.01u.  Then
-       |e^D' - e^D| <= expm1(A) + B / (1 - B), the final exp adds 8u, and
-       `_mass_error(m, top)`, 2 expm1(2^-50 (m^2 + 8m + |top|)) + 2^-48,
-       bounds the error of `_ball_mass` by at least a factor 2.  The bound
-       grows with |top| because both log-sum-exps add `top` before they are
-       subtracted.  A ball whose values are all -inf has mass exactly 0
-       either way.  The kept rows' mass comes from one exp pass instead
-       (`_one_pass_mass`): the h terms exp(x - top'), each within
-       1.01u + 8u e^(x - top') + 2^-1074 of its exact value, the ball's sum
-       and the total, and one division.  The exact total is at least 1, so
-       (for h below 2^40) each computed sum lies within a + b S of its exact
-       value S, with a = 1.02 h u and b = 8u + 1.01 h u, the quotient within
+       Assume numpy's exp within 4 ulp (relative error 8u), an exp in or
+       below the subnormal range off by at most 2^-1074, and any order of
+       summation: m terms sum within gamma_m = mu / (1 - mu) times the sum
+       of their magnitudes.  Both masses come from `_one_pass_mass`, over
+       the m = n values of the unscreened row or the m = h of a kept row,
+       from that row's own maximum `top`.  fl(x - top) is within u|x - top|
+       of x - top, so each term exp(x - top) is within
+       1.01u + 8u e^(x - top) + 2^-1074 of its exact value, using
+       e^-y (e^(By) - 1) <= B / (1 - B) for y >= 0, 0 <= B < 1.  The exact
+       total is at least 1, the term at `top`, so (for m below 2^40) the
+       ball's sum and the total each lie within a + b S of their exact value
+       S, with a = 1.02 m u and b = 8u + 1.01 m u, the quotient within
        (2a + 2b) / (1 - a - b) of the exact mass, and with the division's
-       rounding the error is below u (4.1 h + 17.1); `_one_pass_error(h)`,
-       2^-49 (h + 3), bounds it by at least a factor 2.  Nothing adds top'
-       back after the exps, so this bound does not grow with |top'|.
-    5. Decision.  The margin is _mass_error(n, |top'| + E) for the
-       unscreened row of n worlds, whose maximum is within E of top', plus
-       _one_pass_error(h) for the kept row, plus 2 expm1(2E) for the matmul's
-       values, plus 2 delta for the dropped worlds; each term is at least
-       twice its bound, which absorbs the rounding of the margin and of the
-       distance to the threshold.  Where the screened mass lies further than
-       the margin from the threshold, the unscreened mass lies on the same
-       side.  A NaN screened mass means every kept world is at -inf, under
-       the matmul and so under the reference kernel, a maximal world among
-       them, so the unscreened mass is NaN too: both fail, and the margin is
-       infinite, so no such row goes to the fallback.
+       rounding the error is below u (4.1 m + 17.1); `_one_pass_error(m)`,
+       2^-49 (m + 3), bounds it by at least a factor 2.  Nothing adds `top`
+       back after the exps, so this bound does not grow with |top|.  A ball
+       whose values are all -inf has mass exactly 0.
+    5. Decision.  The margin is _one_pass_error(n) for the unscreened row,
+       plus _one_pass_error(h) for the kept row, plus 2 expm1(2E) for the
+       matmul's values, plus 2 delta for the dropped worlds; each term is at
+       least twice its bound, which absorbs the rounding of the margin and
+       of the distance to the threshold.  Where the screened mass lies
+       further than the margin from the threshold, the unscreened mass lies
+       on the same side.  A NaN screened mass means every kept world is at
+       -inf, under the matmul and so under the reference kernel, a maximal
+       world among them, so the unscreened mass is NaN too: both fail, and
+       the margin is infinite, so no such row goes to the fallback.
     6. Fallback.  Each other step is recomputed from every world's values
        by the unscreened computation (`_full_ball_mass`).  The final argmax
-       comes from the last step's row of every world, normalised as before.
+       comes from the last step's row of every world, less its normaliser
+       top + log(sum(exp(row - top))), `top` the row's maximum; a row all
+       at -inf is left as it is.
     """
     shared = shared or _share(cfg)
     if cfg.horizon < 1:
@@ -588,36 +536,31 @@ def bayesian_baseline_trial(
     prior = np.full(worlds, -math.log(worlds))
     gamma, bound = _error_factor(counts.shape[1]), 2 * math.log(worlds)  # gamma, 2B
     masses, tops, blocks = [], [], []  # blocks: (steps, kept worlds, slack)
-    before, start = prior, 0
-    for end, row in _block_ends(prior, shared.log_weights, counts):
-        leader = row.max()
-        kept = np.flatnonzero(before >= leader - screen)
+    for row, leader, kept, inside, block in _screen(
+            prior, shared, counts, lambda before, leader: before >= leader - screen):
         dropped = worlds - kept.size
         slack = (2 * dropped * math.exp(2.0**-53 * (abs(leader) + screen) - screen)
                  if dropped else 0.0)
-        # `kept` is sorted, so the kept worlds of the ball come first.
-        inside = np.searchsorted(kept, shared.inside)
         for values in _matmul_blocks(prior, shared.log_weights, shared.live_weights,
-                                     kept, counts[start:end + 1], row[kept]):
+                                     kept, block, row[kept]):
             tops.append(values.max(axis=1))
             masses.append(_one_pass_mass(values, tops[-1], inside))
-        blocks.append((end + 1 - start, kept.size, slack))
-        before, start = row, end + 1
+        blocks.append((len(block), kept.size, slack))
     # Each step's margin (step 5), from its block's kept worlds and slack.
     mass, top = np.concatenate(masses), np.abs(np.concatenate(tops))
     steps, sizes, slacks = zip(*blocks)
     sizes, slack = np.repeat(sizes, steps), np.repeat(slacks, steps)
     error = gamma * (bound + top + sizes)
-    margin = (_mass_error(worlds, top + error) + _one_pass_error(sizes)
+    margin = (_one_pass_error(worlds) + _one_pass_error(sizes)
               + 2 * np.expm1(2 * error) + slack)
     close = np.flatnonzero(np.abs(mass - threshold) <= margin)
     if close.size:
         mass[close] = _full_ball_mass(prior, shared.log_weights, counts[close], shared.inside)
     # NaN (every world at plausibility 0) fails, as a mass of 0 does.
     fails = [~(mass > threshold)]
-    norm = _logsumexp_rows(row[None])[0]
-    last = row - norm if norm > -math.inf else row
-    return _settled(fails, cfg.horizon, shared.worlds_of(_tie_mask(last)))
+    if leader > -math.inf:
+        row = row - (leader + np.log(np.exp(row - leader).sum()))
+    return _settled(fails, cfg.horizon, shared.worlds_of(_tie_mask(row)))
 
 
 def _summarize(trials: list[TrialResult]) -> ExperimentSummary:

@@ -325,6 +325,21 @@ class TestSemantics:
         f = parse("[w(H) >= 2] ~T", coin)
         assert valid_in_model(model, f)
 
+    def test_sampling_breaks_preservation(self, coin):
+        # The paper's non-AGM claim, on one model.  Before any sample the
+        # fair coin is the one most plausible world, so w(H) <= 1/2 is
+        # believed.  A sample of H has positive probability there and
+        # removes no world, yet the belief is lost at every world: AGM's
+        # preservation postulate fails for belief change by sampling.
+        model = self.entropy_model(coin, 10)
+        believed = "B (w(H) <= 1/2)"
+        assert valid_in_model(model, parse(believed, coin))
+        for k in range(11):
+            assert valid_in_model(model, parse(f"[H] ~K ~(w(H) = {k}/10)", coin))
+        f = parse(f"{believed} -> [H] {believed}", coin)
+        assert not valid_in_model(model, f)
+        assert extension(model, f).members == set()
+
     def test_check_trace(self, coin):
         model = self.entropy_model(coin, 10)
         result = check(model, 7, parse(f"{W_H_HALF} & w(H) <= 3/5", coin))
