@@ -34,13 +34,16 @@ Precedence: ``~`` binds tightest, then ``&``, then ``|``, then ``->``;
 ``K``, ``B`` and ``[...]`` take a unary operand, so ``K (p & q)`` needs
 the parentheses.
 
-Model checking labels every subformula with its extension, bottom up
-(Clarke, Grumberg & Peled, *Model Checking*), under the conditional-belief
-and update semantics of Baltag & Smets (2008).  Each entry point labels
-each subformula object once in each state that updates reach, in one walk
-over an explicit stack, so a formula of any depth checks.  Equal linear
-atoms are decided once per call, for every world at once, exactly, by one
-integer dot product with the world weights over their common denominator.
+Model checking labels every subformula with its extension, a Python int
+bitset over the model's worlds, bottom up (Clarke, Grumberg & Peled, *Model
+Checking*), under the conditional-belief and update semantics of Baltag &
+Smets (2008).  An evaluator labels each subformula object once in each state
+that updates reach, in one walk over an explicit stack, so a formula of any
+depth checks.  Each entry point uses one evaluator per call, and
+`axiom_suite` one per random model, for all of that trial's instances.
+Equal linear atoms are decided once per evaluator, for every world at once,
+exactly, by one integer dot product with the world weights over their common
+denominator.
 """
 
 from __future__ import annotations
@@ -472,12 +475,16 @@ def print_formula(node: Formula) -> str:
 # Semantics
 #
 # Sampling changes only the plausibilities and an announcement only drops
-# worlds, so an update makes a state of the root model: a domain, a bool mask
-# over the root's worlds, and the evidence.  A state is an integer handle owned
-# by the evaluator (the root is 0), and an extension is a bool mask over the
-# root's worlds, read only in its state's domain; both become objects only at
-# the public boundary.  Each subformula object is labelled once in each state
-# that reaches it, and equal linear atoms are decided once per call.
+# worlds, so an update makes a state of the root model: a domain, an int bitset
+# over the root's worlds (bit i for world i), and the evidence.  A state is an
+# integer handle owned by the evaluator (the root is 0), and an extension is a
+# bitset over the root's worlds, read only in its state's domain; both become
+# objects only at the public boundary, and a bitset becomes a numpy bool mask
+# only at the atom and argmax kernels.  Each subformula object is labelled once
+# in each state that reaches it; equal linear atoms are decided, the evidence
+# after an observation list is built, and the argmax of a domain under an
+# evidence is found once per evaluator.  An evaluator lives as long as its
+# caller keeps it: one public call, or one trial of the axiom suite.
 
 
 @dataclass
@@ -512,84 +519,101 @@ def _decide_atom(model: Model, terms, bound: Fraction) -> np.ndarray:
 class _Evaluator:
     """Extensions of formulas in the states of one root model.
 
-    Labels are keyed by (state handle, id(subformula)), and no key can
-    outlive its subformula: an evaluator lives only inside one public entry
-    call and is never stored, and the formula argument keeps every
-    subformula alive meanwhile, so no id is reused while a label is read."""
+    An extension or a domain is a Python int bitset, bit i for world i of
+    the root; it becomes a bool mask only at the atom and argmax kernels.
+    Labels are keyed by (state handle, id(subformula)).  The evaluator keeps
+    a reference to every formula it labels, and so to each subformula, so no
+    id it has keyed is reused while it lives: one evaluator can serve any
+    number of calls on its model."""
 
     def __init__(self, model: Model, skip_relativization: bool = False):
         self.model = model
         self.skip_relativization = skip_relativization
+        self.size = len(model.worlds)
+        self.full = (1 << self.size) - 1
         self.states, self.state_ids = [], {}  # handle -> (domain, event), and back
-        self._state(np.ones(len(model.worlds), dtype=bool), model.event)  # the root
+        self._state(self.full, model.event)  # the root
         self.values = {model.event: model.log_values}  # event -> log values
-        self.atoms: dict = {}  # LinIneq -> bool mask, the same in every state
-        self.labels: dict = {}  # (handle, id(subformula)) -> bool mask
+        self.updates: dict = {}  # (event, observations) -> event after them
+        self.best: dict = {}  # (event, domain) -> argmax bitset
+        self.atoms: dict = {}  # LinIneq -> bitset, the same in every state
+        self.labels: dict = {}  # (handle, id(subformula)) -> bitset
+        self.kept: list = []  # every formula labelled, keeping its ids in use
 
-    def label(self, handle: int, f: Formula) -> np.ndarray:
-        """Extension of `f` in state `handle`, as a bool mask.  Masks are
-        shared through the cache: never write to one.
+    def label(self, handle: int, f: Formula) -> int:
+        """Extension of `f` in state `handle`, as a bitset.
 
         One loop drives an explicit stack of `_compute` generators, so a
         formula of any depth is labelled without recursion: each generator
         yields the (state, subformula) pairs it needs, in order, and is sent
-        back their masks."""
+        back their bitsets."""
         key = (handle, id(f))
         if key in self.labels:
             return self.labels[key]
-        stack, mask = [(key, self._compute(handle, f))], None
+        self.kept.append(f)
+        stack, bits = [(key, self._compute(handle, f))], None
         while stack:
             key, walk = stack[-1]
             try:
-                handle, f = walk.send(mask)
+                handle, f = walk.send(bits)
             except StopIteration as done:
                 stack.pop()
-                mask = self.labels[key] = done.value
+                bits = self.labels[key] = done.value
                 continue
             key = (handle, id(f))
-            mask = self.labels.get(key)
-            if mask is None:
+            bits = self.labels.get(key)
+            if bits is None:
                 stack.append((key, self._compute(handle, f)))
-        return mask
+        return bits
+
+    def valid(self, f: Formula) -> bool:
+        """True iff `f` holds at every world of the root."""
+        return self.label(0, f) == self.full
 
     def _compute(self, handle: int, f: Formula):
         """Generator of the extension of `f` in state `handle`."""
         domain, event = self.states[handle]
         kind = type(f)
         if kind is Top:
-            return np.ones_like(domain)
+            return self.full
         if kind is LinIneq:
-            mask = self.atoms.get(f)
-            if mask is None:
-                mask = self.atoms[f] = _decide_atom(self.model, f.terms, f.bound)
-            return mask
+            bits = self.atoms.get(f)
+            if bits is None:
+                mask = _decide_atom(self.model, f.terms, f.bound)
+                bits = self.atoms[f] = _bits(mask)
+            return bits
         if kind is Not:
-            return ~(yield handle, f.operand)
+            return self.full ^ (yield handle, f.operand)
         if kind is And:
             return (yield handle, f.left) & (yield handle, f.right)
         if kind is Or:
             return (yield handle, f.left) | (yield handle, f.right)
         if kind is K:
-            return np.full_like(domain, (yield handle, f.operand)[domain].all())
+            return self._all((yield handle, f.operand) & domain == domain)
         if kind is BelCond:
             # Belief in the body among the most plausible cond-worlds;
             # vacuously true when there are none, and then the body is not
             # labelled at all.
-            within = domain & (yield handle, f.cond)
-            best = _argmax_mask(self._values(event), within)
-            holds = not best.any() or (yield handle, f.body)[best].all()
-            return np.full_like(domain, holds)
+            best = self._argmax(event, domain & (yield handle, f.cond))
+            return self._all(not best or (yield handle, f.body) & best == best)
         if kind is BelObs:
-            best = _argmax_mask(self._values(self._after(event, f.obs)), domain)
-            return np.full_like(domain, (yield handle, f.body)[best].all())
+            best = self._argmax(self._after(event, f.obs), domain)
+            return self._all((yield handle, f.body) & best == best)
         if kind is DynObs:
             return (yield self._state(domain, self._after(event, f.obs)), f.body)
         if kind is DynAnn:
             return (yield from self._announce(handle, f))
         raise TypeError(f"not a formula: {f!r}")
 
+    def _all(self, holds: bool) -> int:
+        """The extension of a verdict that is the same at every world."""
+        return self.full if holds else 0
+
     def _after(self, event: ObservationEvent, obs) -> ObservationEvent:
-        return event_concat(event, observe(self.model.alphabet, obs))
+        key = (event, obs)
+        if key not in self.updates:
+            self.updates[key] = event_concat(event, observe(self.model.alphabet, obs))
+        return self.updates[key]
 
     def _values(self, event: ObservationEvent) -> np.ndarray:
         """Log-plausibilities of the root's worlds given `event`, computed by
@@ -600,12 +624,20 @@ class _Evaluator:
             self.values[event] = _log_plausibilities(m.base_log, m.log_weights, counts)
         return self.values[event]
 
-    def _state(self, domain: np.ndarray, event: ObservationEvent) -> int:
+    def _argmax(self, event: ObservationEvent, within: int) -> int:
+        """The most plausible worlds of `within` given `event`."""
+        key = (event, within)
+        if key not in self.best:
+            mask = _argmax_mask(self._values(event), _mask(within, self.size))
+            self.best[key] = _bits(mask)
+        return self.best[key]
+
+    def _state(self, domain: int, event: ObservationEvent) -> int:
         """Handle of the state (domain, event), however the updates reach it."""
-        key = (domain.tobytes(), event)
+        key = (domain, event)
         if key not in self.state_ids:
             self.state_ids[key] = len(self.states)
-            self.states.append((domain, event))
+            self.states.append(key)
         return self.state_ids[key]
 
     def _announce(self, handle: int, f: DynAnn):
@@ -616,15 +648,26 @@ class _Evaluator:
             # Deliberately broken semantics for mutation testing: evaluate
             # the body after the announcement regardless of whether the
             # world satisfies it (keeping the world in the domain).
-            out = np.zeros_like(ann)
-            for i in np.flatnonzero(domain):
-                kept = ann.copy()
-                kept[i] = True
-                out[i] = (yield self._state(kept, event), f.body)[i]
+            out = 0
+            for i in range(self.size):
+                bit = 1 << i
+                if domain & bit:
+                    out |= (yield self._state(ann | bit, event), f.body) & bit
             return out
-        if not ann.any():
-            return ~ann
-        return ~ann | (yield self._state(ann, event), f.body)
+        if not ann:
+            return self.full
+        return (self.full ^ ann) | (yield self._state(ann, event), f.body)
+
+
+def _bits(mask: np.ndarray) -> int:
+    """The bitset of a bool mask: bit i is set where mask[i] is True."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _mask(bits: int, size: int) -> np.ndarray:
+    """The bool mask of the first `size` bits of a bitset."""
+    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little").view(bool)
 
 
 def _world_index(model: Model, world) -> int:
@@ -643,30 +686,30 @@ def _world_index(model: Model, world) -> int:
 def satisfies(model: Model, world, f: Formula) -> bool:
     """True iff `f` holds at `world` (a MassFunction or index) in `model`."""
     index = _world_index(model, world)
-    return bool(_Evaluator(model).label(0, f)[index])
+    return bool(_Evaluator(model).label(0, f) >> index & 1)
 
 
 def check(model: Model, world, f: Formula) -> CheckResult:
     """Like `satisfies`, with verdicts for the immediate subformulas."""
     index = _world_index(model, world)
     ev = _Evaluator(model)
-    verdict = bool(ev.label(0, f)[index])
+    verdict = bool(ev.label(0, f) >> index & 1)
     subs = [sub for sub in vars(f).values() if isinstance(sub, Formula)]
     if type(f) is BelCond and f.cond == TOP:
         subs = subs[:1]  # a simple belief: its condition T is implicit
-    trace = [(print_formula(sub), bool(ev.label(0, sub)[index])) for sub in subs]
+    trace = [(print_formula(sub), bool(ev.label(0, sub) >> index & 1)) for sub in subs]
     return CheckResult(verdict, index, trace)
 
 
 def extension(model: Model, f: Formula, *, skip_relativization=False) -> Proposition:
     """The set of worlds of `model` satisfying `f`."""
-    mask = _Evaluator(model, skip_relativization).label(0, f)
-    return Proposition.of(np.flatnonzero(mask).tolist())
+    ev = _Evaluator(model, skip_relativization)
+    return Proposition.of(np.flatnonzero(_mask(ev.label(0, f), ev.size)).tolist())
 
 
 def valid_in_model(model: Model, f: Formula, *, skip_relativization=False) -> bool:
     """True iff `f` holds at every world of `model`."""
-    return bool(_Evaluator(model, skip_relativization).label(0, f).all())
+    return _Evaluator(model, skip_relativization).valid(f)
 
 
 # ---------------------------------------------------------------------------
@@ -815,17 +858,19 @@ def _draw(letter: str, rng: random.Random, alphabet, depth: int):
     return alphabet.names
 
 
-def _check_cond_equivalence(model, rng, alphabet, depth) -> Formula | None:
+def _check_cond_equivalence(ev: _Evaluator, rng, alphabet, depth) -> Formula | None:
     """Substitution-of-equivalents: when p <-> q is valid in the model,
     B(r | p) <-> B(r | q) must be too.  Returns a violated instance."""
     p = random_formula(rng, alphabet, depth)
     q = random_formula(rng, alphabet, depth)
-    if not valid_in_model(model, iff(p, q)):
+    equivalence = iff(p, q)
+    if not ev.valid(equivalence):
         # Nudge the check to fire sometimes: q := p & T is always equivalent.
         q = And(p, TOP)
+        equivalence = iff(p, q)
     r = random_formula(rng, alphabet, depth)
     instance = iff(BelCond(r, p), BelCond(r, q))
-    if valid_in_model(model, iff(p, q)) and not valid_in_model(model, instance):
+    if ev.valid(equivalence) and not ev.valid(instance):
         return instance
     return None
 
@@ -841,35 +886,33 @@ def axiom_suite(
 
     With `skip_relativization` the announcement clause is deliberately
     corrupted, which must surface counterexamples (a sensitivity check
-    for the suite itself).
+    for the suite itself).  Each trial's model is checked by one evaluator.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     counterexamples: list[Counterexample] = []
 
-    def record(name: str, model: Model, instance: Formula):
-        ext = extension(model, instance, skip_relativization=skip_relativization)
-        failing = sorted(set(range(len(model.worlds))) - ext.members)
-        worlds = [str(w) for w in model.worlds]
+    def record(name: str, ev: _Evaluator, instance: Formula):
+        bits = ev.label(0, instance)
+        failing = [i for i in range(ev.size) if not bits >> i & 1]
+        worlds = [str(w) for w in ev.model.worlds]
         counterexamples.append(
             Counterexample(name, print_formula(instance), worlds, failing)
         )
 
     for _ in range(trials):
-        model = random_model(rng, max_worlds)
-        alphabet = model.alphabet
+        ev = _Evaluator(random_model(rng, max_worlds), skip_relativization)
+        alphabet = ev.model.alphabet
         for name, (draws, builder) in _SCHEMAS.items():
             instance = builder(
                 *(_draw(letter, rng, alphabet, formula_depth) for letter in draws)
             )
-            if not valid_in_model(
-                model, instance, skip_relativization=skip_relativization
-            ):
-                record(name, model, instance)
-        violated = _check_cond_equivalence(model, rng, alphabet, formula_depth)
+            if not ev.valid(instance):
+                record(name, ev, instance)
+        violated = _check_cond_equivalence(ev, rng, alphabet, formula_depth)
         if violated is not None:
-            record("B_cond_equivalence", model, violated)
+            record("B_cond_equivalence", ev, violated)
 
     checked = dict.fromkeys([*_SCHEMAS, "B_cond_equivalence"], trials)
     return ValidityReport(trials, seed, checked, counterexamples)

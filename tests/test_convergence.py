@@ -750,12 +750,19 @@ class TestBaselineScreen:
                 assert np.array_equal(flags, expected_flags)
                 assert recomputed >= 1
 
-    @pytest.mark.parametrize("term", ["unscreened", "one_pass", "matmul"])
-    def test_each_margin_term_sends_its_step_to_the_fallback(self, coin, term):
+    @pytest.mark.parametrize("term", ["unscreened", "one_pass", "matmul", "dropped"])
+    def test_each_margin_term_sends_its_step_to_the_fallback(
+        self, coin, term, monkeypatch
+    ):
         # A threshold at the screened mass of a step inside a block, offset
         # by the whole margin less half of one of its terms, is closer than
         # the margin but further than the margin without that term: the
         # full row decides, as it would not if that term were left out.
+        if term == "dropped":
+            # At the 40-nat screen the dropped-mass term is about 1e-16; at 8
+            # nats it is about 0.016 (24 of 26 worlds dropped).  At 4 nats
+            # only the vertex is kept and the threshold would fall below 0.9.
+            monkeypatch.setattr(convergence, "_BASELINE_SCREEN", 8.0)
         grid = tuple(simplex_grid(coin, 25))
         vertex = mass_function(coin, [1, 0])
         cfg = TrialConfig(grid, ENTROPY, vertex, 200, 3, 0.05)

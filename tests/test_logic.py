@@ -540,6 +540,38 @@ class TestEntryPoints:
                 expected |= {kept[k] for k in after.members}
             assert extension(model, DynAnn(p, q)).members == expected
 
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("urn_60", "cb99ea4b21c1238e"),
+            ("nested", "4fc4990ab653375d"),
+            ("nested_mutant", "c067e53bf4e65fc9"),
+        ],
+    )
+    def test_extensions_pinned(self, urn, case, expected):
+        """sha256 prefixes of packed extension masks, recorded before the
+        checker held extensions as integer bitsets.  The N=60 grid has 1,891
+        worlds, so each packed mask ends in a partial byte."""
+        digest = hashlib.sha256()
+
+        def add(model, f, skip=False):
+            mask = np.zeros(len(model.worlds), dtype=bool)
+            mask[sorted(extension(model, f, skip_relativization=skip).members)] = True
+            digest.update(np.packbits(mask).tobytes())
+
+        if case == "urn_60":
+            model = init_state(simplex_grid(urn, 60), ENTROPY)
+            rng = random.Random(61)
+            for _ in range(200):
+                add(model, random_formula(rng, urn, 3))
+        else:
+            rng = random.Random(67)
+            for _ in range(60):
+                model = random_model(rng)
+                for f in nested_update_formulas(rng, model.alphabet):
+                    add(model, f, skip=case == "nested_mutant")
+        assert digest.hexdigest()[:16] == expected
+
     def test_satisfies_valid_and_extension_agree(self):
         rng = random.Random(31)
         for _ in range(80):
@@ -555,8 +587,46 @@ class TestEntryPoints:
         model = init_state(simplex_grid(coin, 10), ENTROPY)
         for cond, states in [("w(H) >= 2", 1), ("w(H) >= 1/2", 2)]:
             ev = logic._Evaluator(model)
-            assert ev.label(0, parse(f"B([H] T | {cond})", coin)).all()
+            assert ev.label(0, parse(f"B([H] T | {cond})", coin)) == ev.full
             assert len(ev.states) == states, cond
+
+    def test_shared_evaluator_outlives_its_formulas(self):
+        # Each formula is dropped once labelled, so CPython hands its memory,
+        # and so its id, to a later formula; labels keyed by id must not
+        # outlive the formulas they were computed for.
+        rng = random.Random(43)
+        for _ in range(20):
+            model = random_model(rng)
+            ev = logic._Evaluator(model)
+            for _ in range(40):
+                f = random_formula(rng, model.alphabet, 2)
+                got = ev.label(0, f)
+                assert {i for i in range(ev.size) if got >> i & 1} == (
+                    extension(model, f).members
+                ), print_formula(f)
+                del f, got
+
+    def test_argmax_runs_once_per_evidence_and_domain(self, coin, monkeypatch):
+        calls = []
+        kernel = logic._argmax_mask
+
+        def counted(values, within):
+            calls.append((values, within))
+            return kernel(values, within)
+
+        monkeypatch.setattr(logic, "_argmax_mask", counted)
+        model = init_state(simplex_grid(coin, 10), ENTROPY)
+        ev = logic._Evaluator(model)
+        # Pairs: (no evidence, every world) twice, (H, every world) twice,
+        # (no evidence, the worlds where w(H) >= 1/2) twice.
+        for text in [
+            "B w(H) >= 1/2", "B w(T) >= 1/2",
+            "B(w(H) >= 1/2 | H)", "[H] B w(T) >= 1/2",
+            f"B(T | {W_H_HALF})", f"[{W_H_HALF}] B w(T) >= 0",
+        ]:
+            ev.label(0, parse(text, coin))
+        pairs = {(values.tobytes(), within.tobytes()) for values, within in calls}
+        assert len(calls) == len(pairs) == 3
 
     @pytest.mark.parametrize(
         "f",
