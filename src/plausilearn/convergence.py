@@ -16,25 +16,25 @@ Two kernels compute a trial's values.  The reference kernel
 (`plausibility._log_plausibilities`, the one `condition` uses) computes every
 world at each block's last step, so the screen's kept sets, the final argmax
 and the screen's argument rest on its floats alone.  Inside a block one
-matmul computes the kept worlds; its floats may round differently, so each of
-its decisions is certified against the reference kernel's by a float-error
-bound, and a row it cannot certify is recomputed by the reference kernel.
-The bound is derived in `run_trial`.
+matmul computes the kept worlds; its floats may round differently, so each
+step's decision is certified against the reference kernel's by a float-error
+bound, and a step it cannot certify is recomputed from every world by the
+reference kernel (`_unscreened`).  The bound is derived in `run_trial`.  The
+belief trace is read from every world's reference-kernel row at every step.
 
 A Bayesian learner over the same finite world set (uniform prior, ball
 posterior above `BASELINE_THRESHOLD`) is available as a paired baseline.  A
 step's ball mass is one exp pass over every world's reference-kernel values,
 from the row's maximum.  The baseline screens its horizon in the same blocks,
-by the same loop (`_screen`) and with the same two kernels: the reference
-kernel computes every world at each block's last step, and inside a block the
-matmul computes only the worlds within `_BASELINE_SCREEN` nats of the
-block-end leader before the block, whose ball mass the same exp pass gives.
-The mass of the dropped worlds, the matmul's error against the reference
-kernel and the float error of the exp pass are bounded, and a step whose mass
-lies further from the threshold than these bounds gets the flag that the
-unscreened computation, every world by the reference kernel, would give; any
-other step is recomputed that way.  The argument is in
-`bayesian_baseline_trial`.
+by the same loop (`_screen`), with the same two kernels and the same
+fallback: inside a block the matmul computes only the worlds within
+`_BASELINE_SCREEN` nats of the block-end leader before the block, whose ball
+mass the same exp pass gives.  The mass of the dropped worlds, the matmul's
+error against the reference kernel and the float error of the exp pass are
+bounded, and a step whose mass lies further from the threshold than these
+bounds gets the flag that the unscreened computation, every world by the
+reference kernel, would give; any other step is recomputed that way.  The
+argument is in `bayesian_baseline_trial`.
 """
 
 from __future__ import annotations
@@ -227,17 +227,26 @@ def _screen(base: np.ndarray, shared: _Shared, counts: np.ndarray, keep):
         before, start = row, end + 1
 
 
-def _maxima(values: np.ndarray, inside: int):
-    """Each row's maximum over its first `inside` columns and over the rest."""
-    return (values[:, :inside].max(axis=1, initial=-math.inf),
-            values[:, inside:].max(axis=1, initial=-math.inf))
+def _unscreened(base: np.ndarray, log_weights: np.ndarray, counts: np.ndarray, reduce):
+    """`reduce` of the reference kernel's values of every world after each
+    row of `counts`, one `_blocks` block at a time: the unscreened
+    computation, which both simulators' screens fall back on."""
+    return np.concatenate([reduce(values) for values in _blocks(base, log_weights, counts)])
 
 
-def _doubtful(best, values, bound: float, gamma: float) -> np.ndarray:
-    """Mask of the tie tests of `values` against `best` (see `_ties`) whose
-    gap lies within 3E of 0, E = gamma * (bound + max(|best|, |value|)):
-    those that `run_trial` cannot certify.  An entry at -inf gives a NaN
-    gap, which is never doubtful: -inf is exact in both kernels."""
+def _maxima(values: np.ndarray, inside: int) -> np.ndarray:
+    """Each row's maximum over its first `inside` columns and over the
+    rest, as the two columns of one array."""
+    return np.column_stack([values[:, :inside].max(axis=1, initial=-math.inf),
+                            values[:, inside:].max(axis=1, initial=-math.inf)])
+
+
+def _doubtful(best: np.ndarray, values: np.ndarray, bound: float, gamma: float) -> np.ndarray:
+    """Mask of the tie tests of `values` against `best`, one of each per
+    step (see `_ties`), whose gap lies within 3E of 0,
+    E = gamma * (bound + max(|best|, |value|)): those that `run_trial`
+    cannot certify.  An entry at -inf gives a NaN gap, which is never
+    doubtful: -inf is exact in both kernels."""
     with np.errstate(invalid="ignore"):
         tol = plausibility.TIE_TOLERANCE
         gap = best - values - tol * np.maximum(np.maximum(best, 1.0), -values)
@@ -276,36 +285,10 @@ def _matmul_blocks(base: np.ndarray, log_weights: np.ndarray, live: np.ndarray,
         yield values
 
 
-def _certified_blocks(shared: _Shared, kept: np.ndarray, inside: int,
-                      counts: np.ndarray, last: np.ndarray, trace: bool):
-    """The values of the `kept` worlds after each row of `counts` (`last`:
-    the reference kernel's after its last row), in blocks as `_blocks`,
-    each with its rows' maxima inside and outside the ball.  The matmul
-    computes a block; each row whose step decision, or with `trace` any of
-    whose tie tests, it cannot certify is recomputed by `_blocks` (see
-    `run_trial`)."""
-    gamma = _error_factor(shared.log_weights.shape[1])
-    start = 0
-    for values in _matmul_blocks(shared.base_log, shared.log_weights, shared.live_weights,
-                                 kept, counts, last):
-        ins, outs = _maxima(values, inside)
-        best = np.maximum(ins, outs)
-        doubt = _doubtful(best, outs, shared.base_bound, gamma)
-        if trace:
-            doubt |= _doubtful(best[:, None], values, shared.base_bound, gamma).any(axis=1)
-        redo = np.flatnonzero(doubt)
-        if redo.size:
-            values[redo] = np.concatenate(list(_blocks(
-                shared.base_log[kept], shared.log_weights[kept], counts[start + redo])))
-            ins, outs = _maxima(values, inside)
-        start += len(values)
-        yield values, ins, outs
-
-
-def _settled(fails: list[np.ndarray], horizon: int, final_argmax, trace=None):
-    """Result from each step's failure flags: settled from the step after
+def _settled(fails: np.ndarray, horizon: int, final_argmax, trace=None):
+    """Result from each step's failure flag: settled from the step after
     the last failure, when that step is within the horizon."""
-    failing = np.flatnonzero(np.concatenate(fails))
+    failing = np.flatnonzero(fails)
     last_failure = int(failing[-1]) + 1 if failing.size else 0
     settled = last_failure < horizon
     settle_time = last_failure + 1 if settled else None
@@ -339,11 +322,12 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
     inside and outside the ball decide each step as before.
 
     Which kernel computes which rows: every block-end row, and so `before`,
-    L, the kept sets and the final argmax, comes from the reference kernel,
-    as does every row below that the matmul cannot certify.  The argument
-    above is about the reference kernel's values alone and is unchanged: a
-    certified row decides as the reference kernel's row of the kept worlds
-    would, and that row decides as the unscreened one.
+    L, the kept sets and the final argmax, comes from the reference kernel.
+    The argument above is about the reference kernel's values alone: a step
+    certified below decides as those values of the kept worlds would, and
+    so as the unscreened row.  A step that cannot be certified is recomputed
+    from every world by the reference kernel (`_unscreened`): that is the
+    unscreened row, as is each row of the trace.
 
     The matmul computes each block of steps for the kept worlds as
     V' = base + counts @ W.T, with W the log weights whose -inf entries (zero
@@ -369,14 +353,12 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
     at max(|best'|, |v'|), the two errors come to less than 1.01 E, and the
     rounding of the gap itself, a few u (|best| + |v|), is far below E.  So
     where the matmul's gap lies further than 3E from 0 (`_doubtful`), the
-    reference kernel's gap has the same sign.  Each row's step decision is
-    the test of the best value outside the ball against the row's best; with
-    `record_trace`, every kept world's test against the row's best is
-    certified too.  Any row with a test not certified is recomputed by the
-    reference kernel (`_blocks`), so every decision is the reference
-    kernel's.  E is about 1e-15 of the values while the tie tolerance is
-    1e-9, so a gap lies within 3E of 0 only at the edge of the tolerance
-    itself, and the fallback is rare.
+    reference kernel's gap has the same sign.  Each step's decision is the
+    test of the best value outside the ball against the row's best; a step
+    whose test is not certified is recomputed, so every decision is the
+    reference kernel's.  E is about 1e-15 of the values while the tie
+    tolerance is 1e-9, so a gap lies within 3E of 0 only at the edge of the
+    tolerance itself, and the fallback is rare.
     """
     shared = shared or _share(cfg)
     if shared.truth_base is None:
@@ -389,22 +371,25 @@ def run_trial(cfg: TrialConfig, shared: _Shared | None = None) -> TrialResult:
         return TrialResult(False, None, frozenset())
 
     counts = _cumulative_counts(sample_stream(cfg.truth, cfg.horizon, cfg.seed))
-    trace: list[frozenset[int]] | None = [] if cfg.record_trace else None
-    best_in, best_out = [], []
+    best = []  # each step's best value inside the ball and outside it
     for row, _, kept, inside, block in _screen(
             shared.base_log, shared, counts,
             lambda before, leader: _ties(before, leader, 2 * plausibility.TIE_TOLERANCE)):
-        worlds = shared.order[kept]
-        for values, ins, outs in _certified_blocks(
-                shared, kept, inside, block, row[kept], trace is not None):
-            best_in.append(ins)
-            best_out.append(outs)
-            if trace is not None:
-                trace.extend(frozenset(worlds[ties].tolist()) for ties in _tie_mask(values))
+        best.extend(_maxima(values, inside) for values in _matmul_blocks(
+            shared.base_log, shared.log_weights, shared.live_weights, kept, block, row[kept]))
+    best = np.concatenate(best)
+    redo = np.flatnonzero(_doubtful(best.max(axis=1), best[:, 1], shared.base_bound,
+                                    _error_factor(counts.shape[1])))
+    if redo.size:
+        best[redo] = _unscreened(shared.base_log, shared.log_weights, counts[redo],
+                                 lambda values: _maxima(values, shared.inside))
+    trace = None
+    if cfg.record_trace:
+        trace = [shared.worlds_of(ties)
+                 for values in _blocks(shared.base_log, shared.log_weights, counts)
+                 for ties in _tie_mask(values)]
     # A step fails when the best world outside the ball ties the best.
-    best = np.column_stack([np.concatenate(best_in), np.concatenate(best_out)])
-    return _settled([_tie_mask(best)[:, 1]], cfg.horizon,
-                    shared.worlds_of(_tie_mask(row)), trace)
+    return _settled(_tie_mask(best)[:, 1], cfg.horizon, shared.worlds_of(_tie_mask(row)), trace)
 
 
 #: Ball posterior mass above which the Bayesian baseline has settled.
@@ -413,14 +398,6 @@ BASELINE_THRESHOLD = 0.95
 #: Nats below the block-end leader under which the baseline's screen leaves
 #: a world out of a block (see `bayesian_baseline_trial`).
 _BASELINE_SCREEN = 40.0
-
-
-def _full_ball_mass(prior: np.ndarray, log_weights: np.ndarray, counts: np.ndarray,
-                    inside: int) -> np.ndarray:
-    """`_one_pass_mass` of every world's values after each row of `counts`:
-    the unscreened computation, which the screen falls back on."""
-    return np.concatenate([_one_pass_mass(values, values.max(axis=1), inside)
-                           for values in _blocks(prior, log_weights, counts)])
 
 
 def _one_pass_mass(values: np.ndarray, top: np.ndarray, inside: int) -> np.ndarray:
@@ -521,7 +498,7 @@ def bayesian_baseline_trial(
        world among them, so the unscreened mass is NaN too: both fail, and
        the margin is infinite, so no such row goes to the fallback.
     6. Fallback.  Each other step is recomputed from every world's values
-       by the unscreened computation (`_full_ball_mass`).  The final argmax
+       by the unscreened computation (`_unscreened`).  The final argmax
        comes from the last step's row of every world, less its normaliser
        top + log(sum(exp(row - top))), `top` the row's maximum; a row all
        at -inf is left as it is.
@@ -555,12 +532,13 @@ def bayesian_baseline_trial(
               + 2 * np.expm1(2 * error) + slack)
     close = np.flatnonzero(np.abs(mass - threshold) <= margin)
     if close.size:
-        mass[close] = _full_ball_mass(prior, shared.log_weights, counts[close], shared.inside)
-    # NaN (every world at plausibility 0) fails, as a mass of 0 does.
-    fails = [~(mass > threshold)]
+        mass[close] = _unscreened(
+            prior, shared.log_weights, counts[close],
+            lambda values: _one_pass_mass(values, values.max(axis=1), shared.inside))
     if leader > -math.inf:
         row = row - (leader + np.log(np.exp(row - leader).sum()))
-    return _settled(fails, cfg.horizon, shared.worlds_of(_tie_mask(row)))
+    # NaN (every world at plausibility 0) fails, as a mass of 0 does.
+    return _settled(~(mass > threshold), cfg.horizon, shared.worlds_of(_tie_mask(row)))
 
 
 def _summarize(trials: list[TrialResult]) -> ExperimentSummary:

@@ -33,7 +33,6 @@ from plausilearn.convergence import (
     TruthNotInWorldsError,
     ZeroPlausibilityTruthError,
     _blocks,
-    _certified_blocks,
     _error_factor,
     _matmul_blocks,
     _one_pass_error,
@@ -316,6 +315,20 @@ class TestWholeHorizonKernel:
         assert result.settle_time == (last_failure + 1 if settled else None)
 
 
+def watch_fallback():
+    """A spy on `_unscreened`, the fallback of both simulators."""
+    return mock.patch.object(convergence, "_unscreened",
+                             mock.Mock(wraps=convergence._unscreened))
+
+
+def recomputed_steps(fallback, base=None):
+    """The steps (from 0) that the spy `fallback` recomputed, from the
+    values `base` when it is given."""
+    return [int(total) - 1 for call in fallback.call_args_list
+            if base is None or call.args[0] is base
+            for total in call.args[2].sum(axis=1)]
+
+
 def unscreened_trial(cfg):
     """`run_trial` without its screen: every world's value at every step,
     the loop it replaced, kept as the reference.  Returns (settled,
@@ -371,7 +384,7 @@ def screened_cases(draw):
         st.integers(1, steps - 1).map(lambda r: blocks * steps + r),
     ))
     eps = draw(st.one_of(st.none(), st.floats(0.02, 0.6)))
-    # Without a trace the steps are certified by the step-only test.
+    # The trace is drawn too, to check it against the unscreened loop's.
     cfg = TrialConfig(tuple(worlds), fn, truth, horizon, draw(st.integers(0, 2**32)),
                       eps, record_trace=draw(st.booleans()))
     return cfg, cells
@@ -398,7 +411,7 @@ class TestScreen:
         # the best world and the best one outside the ball at a step inside
         # a block, or one float either side of it, puts that step's tie test
         # closer to its edge than the matmul can certify: the reference
-        # kernel decides it.
+        # kernel recomputes it from every world.
         grid = tuple(simplex_grid(coin, 25))
         truth = mass_function(coin, [Fraction(3, 5), Fraction(2, 5)])
         cfg = TrialConfig(grid, ENTROPY, truth, 200, 3, 0.05, record_trace=record_trace)
@@ -413,17 +426,14 @@ class TestScreen:
             gap = (best - out) / max(1.0, best, -out)
             assert 1e-4 < gap < 0.1
             for tolerance in (gap, np.nextafter(gap, 0), np.nextafter(gap, 1)):
-                blocks = mock.Mock(wraps=convergence._blocks)
                 with mock.patch.object(plausibility, "TIE_TOLERANCE", float(tolerance)):
                     expected = unscreened_trial(cfg)
-                    with mock.patch.object(convergence, "_blocks", blocks):
+                    with watch_fallback() as fallback:
                         result = run_trial(cfg, shared)
                 assert (result.settled, result.settle_time, result.final_argmax) \
                     == expected[:3]
                 assert result.belief_trace == (expected[3] if record_trace else None)
-                recomputed = [call.args[2] for call in blocks.call_args_list
-                              if call.args[0] is not shared.base_log]
-                assert any(130 in c[:, 0] + c[:, 1] - 1 for c in recomputed)
+                assert 130 in recomputed_steps(fallback, shared.base_log)
 
     def test_keeps_a_world_tied_within_the_tolerance(self, coin):
         # Under an all-heads stream the two copies of the vertex (1, 0) never
@@ -467,8 +477,9 @@ class TestMatmulKernel:
         shared = _share(cfg)
         kept = np.arange(len(shared.order))
         reference = np.concatenate(list(_blocks(shared.base_log, shared.log_weights, counts)))
-        values = np.concatenate([v for v, _, _ in _certified_blocks(
-            shared, kept, 0, counts, reference[-1], False)])
+        values = np.concatenate(list(_matmul_blocks(
+            shared.base_log, shared.log_weights, shared.live_weights, kept, counts,
+            reference[-1])))
         assert np.array_equal(values == -math.inf, reference == -math.inf)
         finite = reference > -math.inf
         terms = counts.shape[1] + 1
@@ -485,8 +496,8 @@ class TestMatmulKernel:
         shared = _share(cfg)
         counts = np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1], [2, 1, 1]])
         reference = np.concatenate(list(_blocks(shared.base_log, shared.log_weights, counts)))
-        (values, _, _), = _certified_blocks(
-            shared, np.arange(len(grid)), shared.inside, counts, reference[-1], True)
+        values, = _matmul_blocks(shared.base_log, shared.log_weights, shared.live_weights,
+                                 np.arange(len(grid)), counts, reference[-1])
         dies = (shared.log_weights[:, 2] == -math.inf) & (shared.base_log > -math.inf)
         assert dies.any()
         assert np.all(values[1, dies] > -math.inf)
@@ -635,16 +646,14 @@ def unscreened_baseline_trial(cfg):
 
 def screened_baseline_trial(cfg):
     """`bayesian_baseline_trial` with its full-row fallback watched: returns
-    (settled, settle time, final argmax), each step's failure flag, and how
-    many rows the fallback recomputed."""
+    (settled, settle time, final argmax), each step's failure flag, and the
+    steps the fallback recomputed."""
     settled = mock.Mock(wraps=convergence._settled)
-    fallback = mock.Mock(wraps=convergence._full_ball_mass)
-    with mock.patch.object(convergence, "_settled", settled), \
-            mock.patch.object(convergence, "_full_ball_mass", fallback):
+    with mock.patch.object(convergence, "_settled", settled), watch_fallback() as fallback:
         result = bayesian_baseline_trial(cfg)
-    flags = np.concatenate(settled.call_args.args[0])
-    recomputed = sum(len(call.args[2]) for call in fallback.call_args_list)
-    return (result.settled, result.settle_time, result.final_argmax), flags, recomputed
+    flags = settled.call_args.args[0]
+    return ((result.settled, result.settle_time, result.final_argmax), flags,
+            recomputed_steps(fallback))
 
 
 @st.composite
@@ -748,7 +757,7 @@ class TestBaselineScreen:
                     got, flags, recomputed = screened_baseline_trial(cfg)
                 assert got == expected
                 assert np.array_equal(flags, expected_flags)
-                assert recomputed >= 1
+                assert 130 in recomputed
 
     @pytest.mark.parametrize("term", ["unscreened", "one_pass", "matmul", "dropped"])
     def test_each_margin_term_sends_its_step_to_the_fallback(
@@ -796,13 +805,9 @@ class TestBaselineScreen:
         with mock.patch.object(convergence, "_BLOCK_CELLS", 64), \
                 mock.patch.object(convergence, "BASELINE_THRESHOLD", threshold):
             expected, expected_flags, _ = unscreened_baseline_trial(cfg)
-            fallback = mock.Mock(wraps=convergence._full_ball_mass)
-            with mock.patch.object(convergence, "_full_ball_mass", fallback):
-                got, flags, _ = screened_baseline_trial(cfg)
+            got, flags, recomputed = screened_baseline_trial(cfg)
         assert got == expected
         assert np.array_equal(flags, expected_flags)
-        recomputed = np.concatenate([call.args[2].sum(axis=1) - 1
-                                     for call in fallback.call_args_list])
         assert 130 in recomputed
 
     @settings(max_examples=25, deadline=None)
@@ -868,10 +873,9 @@ class TestBaselineScreen:
         shared = _share(cfg)
         kernel = mock.Mock(wraps=convergence._log_plausibilities)
         matmul = mock.Mock(wraps=convergence._matmul_blocks)
-        fallback = mock.Mock(wraps=convergence._full_ball_mass)
         with mock.patch.object(convergence, "_log_plausibilities", kernel), \
                 mock.patch.object(convergence, "_matmul_blocks", matmul), \
-                mock.patch.object(convergence, "_full_ball_mass", fallback):
+                watch_fallback() as fallback:
             for seed in trial_seeds(1, 50):
                 bayesian_baseline_trial(replace(cfg, seed=seed), shared)
         # (base, log_weights, counts) and (base, log_weights, live, kept, counts, last)
