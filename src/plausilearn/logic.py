@@ -38,12 +38,16 @@ Model checking labels every subformula with its extension, a Python int
 bitset over the model's worlds, bottom up (Clarke, Grumberg & Peled, *Model
 Checking*), under the conditional-belief and update semantics of Baltag &
 Smets (2008).  An evaluator labels each subformula object once in each state
-that updates reach, in one walk over an explicit stack, so a formula of any
-depth checks.  Each entry point uses one evaluator per call, and
+that updates reach.  Each entry point uses one evaluator per call, and
 `axiom_suite` one per random model, for all of that trial's instances.
 Equal linear atoms are decided once per evaluator, for every world at once,
 exactly, by one integer dot product with the world weights over their common
 denominator.
+
+The parser (by precedence climbing), the printer and the checker each walk an
+explicit stack, so a formula of any depth parses, prints and checks.  Only
+``==``, ``hash`` and ``repr`` of formula objects, which `dataclass` makes,
+still recurse.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import random
 import re
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -158,12 +163,6 @@ class DynAnn(Formula):
 
 TOP = Top()
 
-#: The binary connectives, loosest first; the parser and the printer both read
-#: this table.  A connective's precedence level is its index, and unary forms
-#: bind at _LVL_UNARY; a B( . | . ) body binds at _LVL_BODY, tighter than "|".
-_CONNECTIVES = (("|", Or), ("&", And))
-_LVL_UNARY, _LVL_BODY = len(_CONNECTIVES), 1
-
 
 def implies(a: Formula, b: Formula) -> Formula:
     return Or(Not(a), b)
@@ -176,6 +175,16 @@ def iff(a: Formula, b: Formula) -> Formula:
 def belief(body: Formula) -> Formula:
     """Simple belief: B(body | T)."""
     return BelCond(body, TOP)
+
+
+#: The binary connectives by token: (left power, right power, builder), as in
+#: Pratt's parser.  A pending connective takes the operand before an incoming
+#: one whose left power is at most its right power: "&" and "|" nest to the
+#: left, "->" to the right.  Prefixes, and the operands of K, B and [...], bind
+#: at _UNARY; a B( . | . ) body at _BODY, without the "|" that ends it.  The
+#: printer reads the right powers too.
+_BINARY = {"->": (1, 0, implies), "|": (2, 2, Or), "&": (3, 3, And)}
+_UNARY, _BODY = 4, 3
 
 
 # ---------------------------------------------------------------------------
@@ -242,56 +251,65 @@ class _Parser:
         starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
         return ParseError(message, [*starts, len(self.text)][self.i], expected)
 
-    # formula := impl; impl := or ("->" impl)?
-    def formula(self, level: int = 0) -> Formula:
-        left = self.connectives(level)
-        if self.accept("->"):
-            return implies(left, self.formula(level))
-        return left
-
-    def connectives(self, level: int) -> Formula:
-        """Unary operands joined by the connectives at `level` and tighter, by
-        precedence climbing: each nests to the left over tighter right operands."""
-        ops = [op for op, _ in _CONNECTIVES]
-        node = self.unary()
-        while self.tok in ops[level:]:
-            at = ops.index(self.advance())
-            node = _CONNECTIVES[at][1](node, self.connectives(at + 1))
-        return node
-
-    def unary(self) -> Formula:
-        tok = self.tok
-        if tok not in ("~", "K", "B", "["):
-            return self.atom()
-        self.advance()
-        if tok == "~":
-            return Not(self.unary())
-        if tok == "K":
-            return K(self.unary())
-        if tok == "B":
-            return self.after_belief()
-        obs = self.try_obslist("]")
-        if obs is not None:
-            return DynObs(obs, self.unary())
-        ann = self.formula()
-        self.expect_op("]")
-        return DynAnn(ann, self.unary())
-
-    def after_belief(self) -> Formula:
-        if not self.accept("("):
-            return belief(self.unary())
-        # Body may not use a bare top-level "|": that separates the
-        # condition.  Parenthesise a top-level disjunction in the body.
-        body = self.formula(_LVL_BODY)
-        if self.accept(")"):
-            return belief(body)
-        self.expect_op("|")
-        obs = self.try_obslist(")")
-        if obs is not None:
-            return BelObs(body, obs)
-        cond = self.formula()
-        self.expect_op(")")
-        return BelCond(body, cond)
+    def formula(self) -> Formula:
+        """One formula, by precedence climbing over an explicit stack, so a
+        formula of any depth parses.  The stack holds what waits for an
+        operand: (power, builder) for a prefix, or for a connective with its
+        left operand, and (-1, opener, stop, body) for a formula that "(",
+        "B(", "[" or the "|" of a condition opens ("" the text); `stop` is the
+        connective that ends the formula around it ("|" in a B( body)."""
+        stack, stop = [(-1, "", "", None)], ""
+        while True:
+            tok = self.tok
+            if tok in ("~", "K", "B", "[", "("):
+                self.advance()
+                obs = self.try_obslist("]") if tok == "[" else None
+                if obs is not None:
+                    stack.append((_UNARY, partial(DynObs, obs)))
+                elif tok in ("(", "[") or tok == "B" and self.accept("("):
+                    stack.append((-1, tok, stop, None))
+                    stop = "|" if tok == "B" else ""
+                else:
+                    stack.append((_UNARY, {"~": Not, "K": K, "B": belief}[tok]))
+                continue
+            if self.accept("T"):
+                node = TOP
+            elif tok[:1].isdecimal() or tok in ("-", "w"):
+                node = self.lin()
+            else:
+                raise self.error(
+                    f"unexpected token {tok or 'end of input'!r}",
+                    {"T", "w(", "(", "~", "K", "B", "["},
+                )
+            while True:  # `node` is an operand: apply what waits for it
+                binary = _BINARY.get(self.tok) if self.tok != stop else None
+                left = binary[0] if binary else 0
+                while stack[-1][0] >= left:
+                    node = stack.pop()[1](node)
+                if binary:
+                    self.advance()
+                    stack.append((binary[1], partial(binary[2], node)))
+                    break
+                _, opener, stop, body = stack.pop()  # no connective: `node` ends
+                if not opener:
+                    return node
+                if opener == "[":
+                    self.expect_op("]")
+                    stack.append((_UNARY, partial(DynAnn, node)))
+                    break
+                if opener != "B":  # "(", or the "|" of a condition
+                    self.expect_op(")")
+                    node = node if body is None else BelCond(body, node)
+                elif self.accept(")"):
+                    node = belief(node)
+                else:
+                    self.expect_op("|")
+                    obs = self.try_obslist(")")
+                    if obs is None:  # a condition formula follows
+                        stack.append((-1, "|", stop, node))
+                        stop = ""
+                        break
+                    node = BelObs(node, obs)
 
     def try_obslist(self, closer: str) -> tuple[str, ...] | None:
         """Consume ``OUTCOME ("," OUTCOME)*`` and `closer` if the upcoming
@@ -306,21 +324,6 @@ class _Parser:
                 return None
             j += 2
         return None
-
-    def atom(self) -> Formula:
-        if self.accept("T"):
-            return TOP
-        if self.accept("("):
-            node = self.formula()
-            self.expect_op(")")
-            return node
-        tok = self.tok
-        if tok[:1].isdecimal() or tok in ("-", "w"):
-            return self.lin()
-        raise self.error(
-            f"unexpected token {tok or 'end of input'!r}",
-            {"T", "w(", "(", "~", "K", "B", "["},
-        )
 
     def lin(self) -> Formula:
         terms = [self.term(allow_leading_minus=True)]
@@ -361,7 +364,6 @@ class _Parser:
         if not tok[:1].isdecimal():
             raise self.error(f"unexpected token {tok!r}", {"INT", "DECIMAL"})
         self.advance()
-        value = Fraction(tok)
         if tok.isdecimal() and self.accept("/"):  # an INT may take a denominator
             den = self.tok
             if not den.isdecimal():
@@ -369,7 +371,9 @@ class _Parser:
             if int(den) == 0:
                 raise self.error("zero denominator")
             self.advance()
-            value /= int(den)
+            value = Fraction(int(tok), int(den))
+        else:
+            value = Fraction(tok)
         return -value if negate else value
 
 
@@ -388,10 +392,7 @@ def parse(text: str, alphabet) -> Formula:
     in condition and box positions, and to validate outcome names.
     """
     parser = _Parser(text, alphabet)
-    try:
-        node = parser.formula()
-    except RecursionError:
-        raise parser.error("formula nests too deeply") from None
+    node = parser.formula()
     if parser.tok:
         raise parser.error(f"trailing input {parser.tok!r}")
     return node
@@ -401,74 +402,73 @@ def parse(text: str, alphabet) -> Formula:
 # Printer
 
 
-def _print_rat(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _print_rat(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _print_lin(node: LinIneq) -> str:
-    parts = []
-    for i, (coeff, name) in enumerate(node.terms):
-        mag = abs(coeff)
-        body = f"w({name})" if mag == 1 else f"{_print_rat(mag)} * w({name})"
-        if i == 0:
-            parts.append(("-" if coeff < 0 else "") + body)
-        else:
-            parts.append(("- " if coeff < 0 else "+ ") + body)
-    return " ".join(parts) + " >= " + _print_rat(node.bound)
-
-
-def _print(node: Formula, level: int) -> str:
-    if isinstance(node, Top):
-        return "T"
-    if isinstance(node, LinIneq):
-        text = _print_lin(node)
-        return f"({text})" if level == _LVL_UNARY else text
-    if isinstance(node, Not):
-        return "~" + _print(node.operand, _LVL_UNARY)
-    for at, (op, kind) in enumerate(_CONNECTIVES):
-        if isinstance(node, kind):
-            # A left spine of one connective prints without parentheses; a
-            # loop walks it, so a flat chain of any length prints.  A right
-            # operand costs one stack frame, as a "->" does in the parser.
-            rights = []
-            while isinstance(node, kind):
-                rights.append(node.right)
-                node = node.left
-            parts = [_print(node, at)]
-            for right in reversed(rights):
-                parts.append(_print(right, at + 1))
-            text = f" {op} ".join(parts)
-            return f"({text})" if level > at else text
-    if isinstance(node, K):
-        return "K " + _print(node.operand, _LVL_UNARY)
-    if isinstance(node, BelCond):
-        if node.cond == TOP:
-            if isinstance(node.body, Or):
-                # "B (a | b)" would read as B(a | b); force the operand
-                # reading with a second pair of parentheses.
-                return f"B (({_print(node.body, 0)}))"
-            return "B " + _print(node.body, _LVL_UNARY)
-        body = _print(node.body, _LVL_BODY)
-        return f"B({body} | {_print(node.cond, 0)})"
-    if isinstance(node, BelObs):
-        body = _print(node.body, _LVL_BODY)
-        return f"B({body} | {','.join(node.obs)})"
-    if isinstance(node, DynObs):
-        return f"[{','.join(node.obs)}] " + _print(node.body, _LVL_UNARY)
-    if isinstance(node, DynAnn):
-        ann = _print(node.ann, 0)
-        if isinstance(node.ann, Top):
-            # Bare "[T]" would read as an observation of an outcome named T.
-            ann = f"({ann})"
-        return f"[{ann}] " + _print(node.body, _LVL_UNARY)
-    raise TypeError(f"not a formula: {node!r}")
+    parts, signs = [], ("", "-")  # the first term's signs, then the others'
+    for coeff, name in node.terms:
+        num, den = abs(coeff.numerator), coeff.denominator
+        scale = "" if num == den == 1 else f"{_print_rat(num, den)} * "
+        parts.append(f"{signs[coeff.numerator < 0]}{scale}w({name})")
+        signs = ("+ ", "- ")
+    bound = node.bound
+    return " ".join(parts) + " >= " + _print_rat(bound.numerator, bound.denominator)
 
 
 def print_formula(node: Formula) -> str:
-    """Canonical text for a formula; re-parses to a structurally equal AST."""
-    return _print(node, 0)
+    """Canonical text for a formula; re-parses to a structurally equal AST.
+
+    One loop pops the pending pieces of the text off an explicit stack, so a
+    formula of any depth prints.  A piece is a text, or a node and the power
+    it prints at: a connective takes parentheses at a power above its own,
+    and prints its left operand at its own power, its right one tighter."""
+    out, stack = [], [(node, 0)]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        node, power = piece
+        if isinstance(node, Top):
+            out.append("T")
+        elif isinstance(node, LinIneq):
+            text = _print_lin(node)
+            out.append(f"({text})" if power == _UNARY else text)
+        elif isinstance(node, (Not, K)):
+            out.append("~" if isinstance(node, Not) else "K ")
+            stack.append((node.operand, _UNARY))
+        elif isinstance(node, (Or, And)):
+            op = "|" if isinstance(node, Or) else "&"
+            at = _BINARY[op][1]
+            if power > at:
+                out.append("(")
+                stack.append(")")
+            stack += (node.right, at + 1), f" {op} ", (node.left, at)
+        elif isinstance(node, BelCond) and node.cond == TOP:
+            # "B (a | b)" would read as B(a | b); force the operand reading
+            # with a second pair of parentheses.
+            wrap = isinstance(node.body, Or)
+            out.append("B (" if wrap else "B ")
+            stack += ")" if wrap else "", (node.body, _UNARY)
+        elif isinstance(node, BelCond):
+            out.append("B(")
+            stack += ")", (node.cond, 0), " | ", (node.body, _BODY)
+        elif isinstance(node, BelObs):
+            out.append("B(")
+            stack += f" | {','.join(node.obs)})", (node.body, _BODY)
+        elif isinstance(node, DynObs):
+            out.append(f"[{','.join(node.obs)}] ")
+            stack.append((node.body, _UNARY))
+        elif isinstance(node, DynAnn):
+            # Bare "[T]" would read as an observation of an outcome named T.
+            ann = "(T)" if isinstance(node.ann, Top) else (node.ann, 0)
+            out.append("[")
+            stack += (node.body, _UNARY), "] ", ann
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

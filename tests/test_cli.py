@@ -153,24 +153,29 @@ class TestCheck:
         assert run(["check", "--model", str(model_path), "--formula", formula]) == 0
         assert json.loads(capsys.readouterr().out)["verdicts"] == [True] * 11
 
-    def test_deepest_implication_chain(self, model_path, capsys):
-        # "->" nests to the right, one parser stack frame an arrow, so the
-        # printer may take no more than one an arrow either.
-        def check(arrows):
-            formula = "T -> " * arrows + "T"
-            code = run(["check", "--model", str(model_path), "--formula", formula])
-            return code, capsys.readouterr()
+    def check_json(self, model_path, formula, capsys):
+        code = run(["check", "--model", str(model_path), "--formula", formula])
+        return code, json.loads(capsys.readouterr().out)
 
-        lo, hi = 1, 5000  # the parser accepts lo arrows and rejects hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            code, out = check(mid)
-            if "bad formula" in out.err:
-                hi = mid
-            else:
-                lo = mid
-        code, out = check(lo)
-        assert code == 0 and json.loads(out.out)["valid"] is True
+    def test_989_arrow_chain(self, model_path, capsys):
+        # "->" nests to the right, so the chain prints with 988 nested pairs
+        # of parentheses, which parse again.
+        code, out = self.check_json(model_path, "T -> " * 989 + "T", capsys)
+        assert code == 0 and out["verdicts"] == [True] * 11
+        assert out["formula"] == "~T | (" * 988 + "~T | T" + ")" * 988
+        assert self.check_json(model_path, out["formula"], capsys) == (code, out)
+
+    def test_printed_200_arrow_chain_checks_again(self, model_path, capsys):
+        # The "formula" that check prints is a text that check accepts.
+        code, out = self.check_json(model_path, "T -> " * 200 + "T", capsys)
+        assert code == 0 and out["verdicts"] == [True] * 11
+        again = self.check_json(model_path, out["formula"], capsys)
+        assert again == (code, out)
+
+    def test_1000_parentheses(self, model_path, capsys):
+        code, out = self.check_json(model_path, "(" * 1000 + "T" + ")" * 1000, capsys)
+        assert code == 0
+        assert out == {"formula": "T", "verdicts": [True] * 11, "valid": True}
 
     def test_bad_formula_exit_two(self, model_path, capsys):
         code = run(
@@ -513,15 +518,6 @@ class TestBadNumbers:
             capsys,
         )
         assert "bad formula" in err
-
-    @pytest.mark.parametrize(
-        "formula", ["(" * 1000 + "T" + ")" * 1000], ids=["parentheses"]
-    )
-    def test_check_formula_nested_too_deeply(self, model_path, formula, capsys):
-        err = self.assert_usage_error(
-            ["check", "--model", str(model_path), "--formula", formula], capsys
-        )
-        assert "too deeply" in err
 
     def test_axioms_depth_nests_too_deeply(self, capsys):
         err = self.assert_usage_error(

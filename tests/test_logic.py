@@ -148,6 +148,20 @@ class TestParser:
     def test_non_ascii_digits_are_numbers(self, coin):
         assert parse("w(H) >= ٣/٤", coin) == lin([(1, "H")], Fraction(3, 4))
 
+    def test_1000_parentheses(self, coin):
+        f = parse("(" * 1000 + "T" + ")" * 1000, coin)
+        assert f == TOP and print_formula(f) == "T"
+        model = init_state(simplex_grid(coin, 10), ENTROPY)
+        assert extension(model, f).members == set(range(11))
+
+    def test_10000_negations_round_trip(self, coin):
+        text = "~" * 10_000 + "T"
+        assert print_formula(parse(text, coin)) == text
+        negations = TOP
+        for _ in range(10_000):
+            negations = Not(negations)
+        assert print_formula(negations) == text
+
 
 class TestParseErrors:
     def test_reports_position(self, coin):
@@ -172,11 +186,6 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse("(T", coin)
         assert ")" in err.value.expected
-
-    def test_nests_too_deeply(self, coin):
-        assert parse("(" * 150 + "T" + ")" * 150, coin) == TOP
-        with pytest.raises(ParseError, match="nests too deeply"):
-            parse("(" * 1000 + "T" + ")" * 1000, coin)
 
     def test_pinned_corpus(self, coin):
         """Every outcome of parsing 5,000 seeded strings of keywords,
@@ -649,21 +658,40 @@ class TestEntryPoints:
 
     @pytest.mark.parametrize("prefix", ["~", "K ", "B ", "[H] ", "[w(H) >= 1/2] "])
     def test_deepest_parse_checks_and_prints(self, coin, prefix):
-        lo, hi = 1, 5000  # parse accepts lo prefixes and rejects hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                parse(prefix * mid + "T", coin)
-                lo = mid
-            except ParseError:
-                hi = mid
-        text = prefix * lo + "T"
+        text = prefix * 5001 + "T"
         f = parse(text, coin)
         model = init_state(simplex_grid(coin, 10), ENTROPY)
         # Over T, each prefix applied twice is the same as not at all.
-        same = parse(prefix * (lo % 2) + "T", coin)
+        same = parse(prefix + "T", coin)
         assert extension(model, f) == extension(model, same)
         assert print_formula(f) == text
+
+    def test_no_recursion_in_parse_print_or_check(self):
+        # Under a recursion limit of 200, a text 5,000 deep of each kind
+        # parses, prints, re-parses and checks: none of the three recurses.
+        src = str(Path(logic.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "from plausilearn import *\n"
+            "sys.setrecursionlimit(200)\n"
+            "coin = make_alphabet(['H', 'T'])\n"
+            "model = init_state(simplex_grid(coin, 10), ENTROPY)\n"
+            "n = 5000\n"
+            "arrows = '~T | (' * (n - 1) + '~T | T' + ')' * (n - 1)\n"
+            "for prefix in ['~', 'K ', 'B ', '[H] ', '[w(H) >= 1/2] ', '(', 'T -> ']:\n"
+            "    text = prefix * n + 'T' + ')' * n * (prefix == '(')\n"
+            "    f = parse(text, coin)\n"
+            "    printed = print_formula(f)\n"
+            "    want = {'(': 'T', 'T -> ': arrows}.get(prefix, text)\n"
+            "    assert printed == want and print_formula(parse(printed, coin)) == want\n"
+            "    print(sorted(extension(model, f).members))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [str(list(range(11)))] * 7
 
     def test_formulas_deeper_than_any_parse(self, coin):
         model = init_state(simplex_grid(coin, 10), ENTROPY)
